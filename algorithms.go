@@ -40,7 +40,7 @@ const (
 
 // Appro GAP engines.
 const (
-	// SolverAuto picks by reduction size.
+	// SolverAuto is the default: the exact transport solver at every size.
 	SolverAuto = core.SolverAuto
 	// SolverTransport is the exact min-cost-flow slotted solver.
 	SolverTransport = core.SolverTransport

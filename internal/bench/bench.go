@@ -158,6 +158,52 @@ func reequilibrateWarmCase(sc scale) Case {
 	}
 }
 
+// reequilibrateChurnCase times the churned epoch a serving daemon runs:
+// each op removes one provider, admits one from a fixed pool at its best
+// response, and runs the Reequilibrate call of Reequilibrate/<scale> with an
+// EpochSolveState carried across ops, so the transport solve repairs the
+// previous epoch's optimum for a one-row-out, one-row-in delta. mecbench
+// -bench-check enforces the churn/cold time ratio at the largest scale.
+func reequilibrateChurnCase(sc scale) Case {
+	return Case{
+		Name: fmt.Sprintf("ReequilibrateChurn/%s", sc.name),
+		Setup: func() (func() error, error) {
+			m, err := benchMarket(sc)
+			if err != nil {
+				return nil, err
+			}
+			pl := joinedPlacement(m)
+			wl := benchWorkload(sc)
+			pool := make([]mec.Provider, 64)
+			for i := range pool {
+				pool[i] = wl.DrawProvider(rng.Substream(benchSeed, uint64(i)), len(m.Net.DCs), m.Net.Topo.N())
+			}
+			var st dynamic.EpochSolveState
+			opts := dynamic.EpochOptions{
+				Xi: 0.7, Seed: benchSeed, MigrationAware: true, State: &st,
+			}
+			k := 0
+			return func() error {
+				gone := k * 37 % len(m.Providers)
+				if err := m.RemoveProvider(gone); err != nil {
+					return err
+				}
+				pl = append(pl[:gone], pl[gone+1:]...)
+				l, err := m.AppendProvider(pool[k%len(pool)])
+				if err != nil {
+					return err
+				}
+				pl = append(pl, mec.Remote)
+				pl[l] = dynamic.BestResponseAvoidingFailed(m, pl, l, nil)
+				k++
+				next, _, err := dynamic.Reequilibrate(m, pl, opts)
+				pl = next
+				return err
+			}, nil
+		},
+	}
+}
+
 func admissionCase(sc scale) Case {
 	return Case{
 		Name: fmt.Sprintf("DaemonAdmission/%s", sc.name),
@@ -341,6 +387,7 @@ func Cases() []Case {
 			reequilibrateCase(sc, false),
 			reequilibrateCase(sc, true),
 			reequilibrateWarmCase(sc),
+			reequilibrateChurnCase(sc),
 			admissionCase(sc),
 		)
 	}

@@ -20,15 +20,17 @@ type Solver int
 
 // Solver kinds.
 const (
-	// SolverAuto picks Shmoys-Tardos for small reductions and the exact
-	// transportation fast path for large ones.
+	// SolverAuto is the default: the exact, capacity-feasible
+	// transportation solve (SolverTransport) at every size.
 	SolverAuto Solver = iota + 1
 	// SolverTransport always uses the slotted min-cost-flow solver (exact
 	// for the "one service per virtual cloudlet" reduction the paper
 	// describes).
 	SolverTransport
 	// SolverShmoysTardos always uses the LP-rounding 2-approximation [34]
-	// on the knapsack-shaped reduction.
+	// on the knapsack-shaped reduction: the paper-fidelity option. Its
+	// additive rounding guarantee lets two services share one virtual
+	// cloudlet, so its placements may exceed a cloudlet's capacity.
 	SolverShmoysTardos
 )
 
@@ -45,14 +47,9 @@ func (s Solver) String() string {
 	}
 }
 
-// autoThreshold is the items*virtual-bins size above which SolverAuto
-// switches from the dense-LP Shmoys-Tardos path to the flow-based
-// transportation path.
-const autoThreshold = 3000
-
 // ApproOptions configures Algorithm 1.
 type ApproOptions struct {
-	// Solver selects the GAP engine; zero value means SolverAuto.
+	// Solver selects the GAP engine; the zero value means SolverAuto.
 	Solver Solver
 	// DisallowRemote removes the "not to cache" strategy: every service
 	// must be cached at some cloudlet (the literal Algorithm-1 setting).
@@ -74,9 +71,9 @@ type ApproOptions struct {
 	// choice event per provider with its assigned strategy's Eq. 3 cost
 	// broken out at the final loads. Nil disables tracing at zero cost.
 	Trace obs.Tracer
-	// State, when non-nil, carries the warm-start caches reused across
-	// epoch solves (see EpochSolveState). The result is byte-identical with
-	// or without it; warm paths only skip provably redundant work.
+	// State, when non-nil, carries the solver state reused across epoch
+	// solves (see EpochSolveState). The result is byte-identical with or
+	// without it.
 	State *EpochSolveState
 }
 
@@ -97,16 +94,16 @@ type ApproResult struct {
 
 // Appro is Algorithm 1: split every cloudlet CL_i into n_i virtual
 // cloudlets (Eq. 7), reduce to a GAP instance whose costs ignore congestion
-// (Eq. 9), solve it with the Shmoys-Tardos approximation (or the exact
-// transportation fast path for the slotted shape), and merge the virtual
-// cloudlets back into their real cloudlets.
+// (Eq. 9), solve it — by default exactly, as the slotted transportation
+// problem the reduction is, or with the Shmoys-Tardos approximation on
+// request — and merge the virtual cloudlets back into their real cloudlets.
 func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil market")
 	}
 	solver := opts.Solver
-	if solver == 0 {
-		solver = SolverAuto
+	if solver == 0 || solver == SolverAuto {
+		solver = SolverTransport
 	}
 	n := len(m.Providers)
 	slots := m.VirtualSlots()
@@ -119,18 +116,6 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 		return nil, fmt.Errorf("core: %d providers exceed %d virtual cloudlet slots and remote is disallowed", n, totalSlots)
 	}
 
-	if solver == SolverAuto {
-		if n*(totalSlots+1) > autoThreshold {
-			solver = SolverTransport
-		} else {
-			solver = SolverShmoysTardos
-		}
-	}
-
-	var prevPatched uint64
-	if opts.State != nil {
-		prevPatched = opts.State.transport.Patched
-	}
 	var placement mec.Placement
 	var err error
 	switch solver {
@@ -147,14 +132,9 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 	if st := opts.State; st != nil {
 		st.LastResultHit = false
 		st.LastSolver = solver
-		switch solver {
-		case SolverTransport:
-			// Warm = the reduction fingerprint matched exactly (solve
-			// skipped) or the cached network was repriced in place.
-			st.LastWarm = st.transport.LastWarm || st.transport.Patched > prevPatched
-		case SolverShmoysTardos:
-			st.LastWarm = st.rounding.LastWarm
-		}
+		// Warm = the transport solve reused the kept optimum (no delta,
+		// or a repaired one); the Shmoys-Tardos path always runs cold.
+		st.LastWarm = solver == SolverTransport && st.transport.Last != gap.SolveRebuild
 	}
 
 	reduced := 0.0
@@ -335,11 +315,7 @@ func approShmoysTardos(m *mec.Market, slots []int, opts ApproOptions) (mec.Place
 			}
 		}
 	}
-	var rs *gap.RoundingState
-	if opts.State != nil {
-		rs = &opts.State.rounding
-	}
-	sol, _, err := gap.SolveShmoysTardosWarm(ins, rs)
+	sol, err := gap.SolveShmoysTardos(ins)
 	if err != nil {
 		return nil, fmt.Errorf("core: Shmoys-Tardos reduction: %w", err)
 	}

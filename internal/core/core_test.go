@@ -109,21 +109,26 @@ func TestApproShmoysTardosSmall(t *testing.T) {
 }
 
 func TestApproAutoSelectsBySize(t *testing.T) {
-	small := genMarket(t, 5, 50, 8)
-	res, err := Appro(small, ApproOptions{})
+	// The default solver is the exact transport solve at every size; the
+	// Shmoys-Tardos path runs only when named.
+	for _, sz := range []struct{ nodes, providers int }{{50, 8}, {200, 100}} {
+		m := genMarket(t, 5, sz.nodes, sz.providers)
+		for _, solver := range []Solver{0, SolverAuto} {
+			res, err := Appro(m, ApproOptions{Solver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SolverUsed != SolverTransport {
+				t.Fatalf("%d providers, solver %v: used %v, want transport", sz.providers, solver, res.SolverUsed)
+			}
+		}
+	}
+	res, err := Appro(genMarket(t, 5, 50, 8), ApproOptions{Solver: SolverShmoysTardos})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SolverUsed != SolverShmoysTardos {
-		t.Fatalf("small instance used %v, want shmoys-tardos", res.SolverUsed)
-	}
-	large := genMarket(t, 5, 200, 100)
-	res2, err := Appro(large, ApproOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.SolverUsed != SolverTransport {
-		t.Fatalf("large instance used %v, want transport", res2.SolverUsed)
+		t.Fatalf("named shmoys-tardos ran %v", res.SolverUsed)
 	}
 }
 

@@ -8,18 +8,15 @@ import (
 	"mecache/internal/mec"
 )
 
-// EpochSolveState is the warm-start cache one market carries across
-// re-optimization epochs. It layers three reuse levels, every one of them
-// byte-identical to the cold solve it replaces:
+// EpochSolveState is the warm-start state one market carries across
+// re-optimization epochs. It has two reuse levels, both byte-identical to
+// the cold solve they replace:
 //
-//  1. the GAP transport network and its row fingerprints
-//     (gap.TransportState): an unchanged reduction returns the cached
-//     assignment, small per-row deltas re-solve the repriced network in
-//     place, structural changes rebuild into the retained arena;
-//  2. the Shmoys-Tardos rounding components (gap.RoundingState): only
-//     connected components of the item-slot graph whose columns changed are
-//     re-matched, untouched components keep their integral assignments;
-//  3. the full LCF result, keyed on a fingerprint of every market quantity
+//  1. the persistent transport solver of Appro's reduction
+//     (gap.TransportState): it keeps the last optimum with its potentials
+//     and repairs it for the rows that changed, rebuilding only when a
+//     cloudlet's slot count or congestion chain moved;
+//  2. the full LCF result, keyed on a fingerprint of every market quantity
 //     the pipeline reads plus the complete option set: an identical epoch
 //     skips Appro, coordination, and the best-response dynamics outright.
 //
@@ -29,7 +26,6 @@ import (
 // concurrent use.
 type EpochSolveState struct {
 	transport gap.TransportState
-	rounding  gap.RoundingState
 
 	lcfValid bool
 	lcfKey   lcfKey
@@ -40,9 +36,9 @@ type EpochSolveState struct {
 	// LastSolver is the GAP engine the most recent solve used (or would
 	// have used, on a full-result hit).
 	LastSolver Solver
-	// LastWarm reports whether the most recent solve reused any cached
-	// work: a full-result hit, a transport exact hit or patch, or at least
-	// one reused rounding component.
+	// LastWarm reports whether the most recent solve reused any kept
+	// work: a full-result hit, or a transport solve that found no delta or
+	// repaired the kept optimum.
 	LastWarm bool
 	// LastResultHit reports a full LCF result cache hit specifically.
 	LastResultHit bool
@@ -54,15 +50,27 @@ func (st *EpochSolveState) Invalidate() {
 		return
 	}
 	st.transport.Invalidate()
-	st.rounding.Invalidate()
 	st.lcfValid = false
 	st.lcfRes = nil
 }
 
-// TransportStats exposes the transport-layer counters (hits, misses,
-// patched re-solves) for telemetry.
+// TransportStats exposes the transport-layer counters for telemetry: hits
+// are solves with no delta, misses every other solve, and patched the
+// misses served by repairing the kept optimum instead of a rebuild.
 func (st *EpochSolveState) TransportStats() (hits, misses, patched uint64) {
 	return st.transport.Hits, st.transport.Misses, st.transport.Patched
+}
+
+// LastTransport describes the most recent transport solve: its kind
+// ("hit", "repair" or "rebuild") and the rows it added to and cancelled
+// from the kept optimum. A full-result cache hit reports "hit" with no
+// rows, since the reduction it stands for is unchanged.
+func (st *EpochSolveState) LastTransport() (kind string, added, removed int) {
+	if st.LastResultHit {
+		return gap.SolveHit.String(), 0, 0
+	}
+	t := &st.transport
+	return t.Last.String(), t.LastAdded, t.LastRemoved
 }
 
 // lcfKey identifies one exact LCF invocation: the market fingerprint plus

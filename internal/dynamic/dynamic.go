@@ -232,10 +232,9 @@ type Simulator struct {
 	pl mec.Placement
 	ls *game.LoadState
 
-	// solve carries the warm-start caches across epochs: GAP reduction
-	// fingerprints, the cached transport network, rounding components, and
-	// the full LCF result of the previous epoch. Epoch outcomes are
-	// byte-identical with or without it.
+	// solve carries the warm-start state across epochs: the kept optimum of
+	// the transport solve and the full LCF result of the previous epoch.
+	// Epoch outcomes are byte-identical with or without it.
 	solve EpochSolveState
 
 	metrics      Metrics
@@ -552,10 +551,15 @@ type EpochStats struct {
 	Converged bool
 	// Solver names the GAP engine the inner Appro call used.
 	Solver string
-	// WarmStart reports whether the solve reused cached work from the
-	// epoch state (full-result hit, transport fingerprint hit or patch, or
-	// reused rounding components). Always false without EpochOptions.State.
+	// WarmStart reports whether the solve reused kept work from the epoch
+	// state (full-result hit, or a transport solve that found no delta or
+	// repaired the kept optimum). Always false without EpochOptions.State.
 	WarmStart bool
+	// Transport says how the epoch state served the transport solve
+	// ("hit", "repair" or "rebuild"), with the rows it added to and
+	// cancelled from the kept optimum. Empty without EpochOptions.State.
+	Transport                        string
+	TransportAdded, TransportRemoved int
 	// Shards is the number of locality components the sharded best-response
 	// round ran in parallel (0 when the round ran serially). Telemetry only.
 	Shards int
@@ -589,15 +593,21 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 	st.Shards = res.Dynamics.Shards
 	if opts.State != nil {
 		st.WarmStart = opts.State.LastWarm
+		st.Transport, st.TransportAdded, st.TransportRemoved = opts.State.LastTransport()
 	}
 	next := res.Placement
+	held := false // a provider kept at a cloudlet LCF may have filled
 	for i := range next {
 		if (opts.Frozen != nil && opts.Frozen[i]) ||
 			(next[i] != mec.Remote && opts.Failed != nil && opts.Failed[next[i]]) {
+			held = held || (next[i] != pl[i] && pl[i] != mec.Remote)
 			next[i] = pl[i]
 		}
 	}
 	if !opts.MigrationAware {
+		if held {
+			evictOverload(m, pl, next)
+		}
 		for i := range next {
 			if next[i] != pl[i] {
 				st.Reconfigurations++
@@ -679,6 +689,7 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 			}
 		} else {
 			st.MigrationsSuppressed++
+			held = held || stay != mec.Remote
 			next[i] = stay // keep downstream decisions consistent
 			if ls != nil {
 				ls.Move(i, moved, stay)
@@ -692,6 +703,21 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 			}
 		}
 	}
+	if held {
+		for _, i := range evictOverload(m, pl, next) {
+			// i's move was applied and counted above; going remote instead
+			// is no move at all when it started remote.
+			if pl[i] == mec.Remote {
+				st.Reconfigurations--
+			}
+			if opts.Trace != nil {
+				opts.Trace.Emit(obs.Event{
+					Kind: obs.KindMove, Provider: i, Strategy: mec.Remote,
+					From: pl[i], Note: "epoch migration: capacity eviction",
+				})
+			}
+		}
+	}
 	st.SocialCost = m.SocialCost(next)
 	if opts.Trace != nil {
 		opts.Trace.Emit(obs.Event{
@@ -700,6 +726,40 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 		})
 	}
 	return next, st, nil
+}
+
+// evictOverload restores capacity after the epoch's holds. LCF packs its
+// placement up to every cloudlet's capacity without knowing which
+// providers the epoch will hold at their current cloudlet (frozen ones,
+// ones whose new cloudlet has failed, suppressed moves), so a held
+// provider can land beside newcomers that already fill its cloudlet. The
+// providers that stayed put fit, as they did under pl, so sending the
+// providers that moved onto an overloaded cloudlet to remote, highest
+// index first, always restores capacity. It returns the evicted providers.
+func evictOverload(m *mec.Market, pl, next mec.Placement) []int {
+	nc := m.Net.NumCloudlets()
+	load := make([]float64, 2*nc)
+	compute, bandwidth := load[:nc], load[nc:]
+	for i, c := range next {
+		if c != mec.Remote {
+			compute[c] += m.Providers[i].ComputeDemand()
+			bandwidth[c] += m.Providers[i].BandwidthDemand()
+		}
+	}
+	over := func(c int) bool {
+		cl := &m.Net.Cloudlets[c]
+		return compute[c] > cl.ComputeCap+1e-9 || bandwidth[c] > cl.BandwidthCap+1e-9
+	}
+	var evicted []int
+	for i := len(next) - 1; i >= 0; i-- {
+		if c := next[i]; c != mec.Remote && c != pl[i] && over(c) {
+			compute[c] -= m.Providers[i].ComputeDemand()
+			bandwidth[c] -= m.Providers[i].BandwidthDemand()
+			next[i] = mec.Remote
+			evicted = append(evicted, i)
+		}
+	}
+	return evicted
 }
 
 // findLive locates an active provider by id; idx is -1 after departure.

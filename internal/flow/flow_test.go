@@ -303,3 +303,89 @@ func BenchmarkAssignment50(b *testing.B) {
 		}
 	}
 }
+
+// TestIncrementalAssignment builds an n x n assignment one row at a time
+// with Augment, then removes a routed row (cancel, RemoveNode, Relax on
+// the freed column arc) and adds a new one, checking the routed cost
+// against brute force after every step and that freed IDs are reused.
+func TestIncrementalAssignment(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rng.New(seed)
+		n := 2 + r.Intn(4) // 2..5 columns
+		// Nodes: columns 0..n-1, sink n, rows appended after.
+		g := NewNetwork(n + 1)
+		sink := n
+		colArc := make([]int, n)
+		for c := range colArc {
+			colArc[c] = mustArc(t, g, c, sink, 1, 0)
+		}
+		rows := map[int][]float64{} // row node -> its costs
+		addRow := func(cost []float64) int {
+			v := g.AddNode()
+			price := math.Inf(-1)
+			for c, x := range cost {
+				mustArc(t, g, v, c, 1, x)
+				price = math.Max(price, g.Potential(c)-x)
+			}
+			g.SetPotential(v, price)
+			if !g.Augment(v, sink) {
+				t.Fatalf("seed %d: row %d not routable", seed, v)
+			}
+			rows[v] = cost
+			return v
+		}
+		check := func(tag string) {
+			t.Helper()
+			var matrix [][]float64
+			total := 0.0
+			for v, cost := range rows {
+				matrix = append(matrix, cost)
+				for _, id := range g.Out(v) {
+					if g.ArcFlow(int(id)) > 0 {
+						total += cost[g.Head(int(id))]
+					}
+				}
+			}
+			// Pad to square with zero-cost dummy rows: the optimum over
+			// the real rows is the optimum of the padded problem.
+			for len(matrix) < n {
+				matrix = append(matrix, make([]float64, n))
+			}
+			if want := bruteForceAssignment(matrix); math.Abs(total-want) > 1e-9 {
+				t.Fatalf("seed %d %s: routed cost %v, optimum %v", seed, tag, total, want)
+			}
+		}
+		randomRow := func() []float64 {
+			cost := make([]float64, n)
+			for c := range cost {
+				cost[c] = r.FloatRange(0, 10)
+			}
+			return cost
+		}
+		var order []int
+		for len(order) < n-1 {
+			order = append(order, addRow(randomRow()))
+			check("add")
+		}
+		gone := order[r.Intn(len(order))]
+		for _, id := range g.Out(gone) {
+			if id := int(id); g.ArcFlow(id) > 0 {
+				c := g.Head(id)
+				g.AddFlow(id, -1)
+				g.AddFlow(colArc[c], -1)
+				g.RemoveNode(gone)
+				g.Relax(colArc[c])
+				break
+			}
+		}
+		delete(rows, gone)
+		check("remove")
+		if v := addRow(randomRow()); v != gone {
+			t.Fatalf("seed %d: new row got node %d, want the freed %d", seed, v, gone)
+		}
+		check("re-add")
+		if nodes, arcs := g.Live(); nodes != n+1+len(rows) || arcs != n+n*len(rows) {
+			t.Fatalf("seed %d: %d live nodes, %d live arcs", seed, nodes, arcs)
+		}
+	}
+}

@@ -9,11 +9,12 @@
 //     than the LP optimum and overloads any bin by at most the largest
 //     item assigned to it (the classical additive guarantee, which yields
 //     the paper's multiplicative 2 after the virtual-cloudlet scaling).
-//   - SolveTransport: an exact min-cost-flow fast path for slotted
-//     instances (every item occupies exactly one slot of its bin). The
-//     paper's virtual-cloudlet reduction — "each virtual cloudlet being
-//     restricted to be able to only cache a single service instance" —
-//     produces exactly this shape, so the large experiments use it.
+//   - SolveTransport / SolveCongestionTransport: the exact min-cost-flow
+//     solve of slotted instances (every item occupies exactly one slot of
+//     its bin). The paper's virtual-cloudlet reduction — "each virtual
+//     cloudlet being restricted to be able to only cache a single service
+//     instance" — produces exactly this shape, so Appro uses it by
+//     default; a TransportState keeps its optimum across epochs.
 //   - SolveGreedy: a regret-based heuristic, used as a baseline and as a
 //     fallback.
 //   - SolveExact: branch-and-bound for small instances, used by tests to

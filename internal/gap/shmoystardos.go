@@ -122,19 +122,6 @@ func SolveShmoysTardos(ins *Instance) (*Assignment, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
-	return roundShmoysTardos(ins, nil)
-}
-
-// roundShmoysTardos is the shared LP-solve-and-round pipeline behind both
-// the cold and warm entry points. The min-cost matching is computed per
-// connected component of the item-slot graph: the Jonker-Volgenant search
-// never leaves the component of the row it augments (every dual, tree, and
-// matching cell it reads or writes is column- or row-local to that
-// component, except the write-only sentinel column), so the union of
-// per-component matchings is operation-for-operation identical to the
-// global matching — which is what lets a warm re-round reuse untouched
-// components byte-identically. st non-nil enables that reuse.
-func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 	n, m := ins.NumItems(), ins.NumBins()
 	x, _, err := lpRelaxation(ins)
 	if err != nil {
@@ -195,9 +182,14 @@ func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 	}
 
 	// Min-cost perfect matching of items to slots, one connected component
-	// of the item-slot graph at a time. Components are found by union-find
-	// over items (slots tie their items together), with the smaller root
-	// winning so a component's representative is its smallest item index.
+	// of the item-slot graph at a time: the Jonker-Volgenant search never
+	// leaves the component of the row it augments (every dual, tree, and
+	// matching cell it reads or writes is column- or row-local to that
+	// component, except the write-only sentinel column), so the union of
+	// per-component matchings equals the global matching while each matrix
+	// stays small. Components are found by union-find over items (slots tie
+	// their items together), with the smaller root winning so a
+	// component's representative is its smallest item index.
 	parent := make([]int, n)
 	for j := range parent {
 		parent[j] = j
@@ -223,7 +215,6 @@ func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 	type component struct {
 		items []int // ascending
 		slots []int // indices into slots, ascending (global slot order)
-		fp    uint64
 	}
 	var comps []component
 	compOf := make(map[int]int) // representative item -> comps index
@@ -241,41 +232,10 @@ func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 		ci := compOf[find(sl.items[0])]
 		comps[ci].slots = append(comps[ci].slots, s)
 	}
-	for ci := range comps {
-		c := &comps[ci]
-		h := newFP()
-		for _, j := range c.items {
-			h.int(j)
-		}
-		h.int(len(c.slots))
-		for _, s := range c.slots {
-			sl := slots[s]
-			h.int(sl.bin)
-			h.int(len(sl.items))
-			for _, j := range sl.items {
-				h.int(j)
-				h.float(ins.Cost[j][sl.bin])
-			}
-		}
-		c.fp = h.a ^ (h.b * 1099511628211)
-	}
 
 	bin := make([]int, n)
 	rowOf := make([]int, n) // item -> row index within its component matrix
-	reused := 0
 	for _, c := range comps {
-		rep := c.items[0]
-		if st != nil && st.compFP != nil {
-			if fp, ok := st.compFP[rep]; ok && fp == c.fp && c.items[len(c.items)-1] < len(st.itemBin) {
-				// Unchanged component: its matching inputs are identical to
-				// the cached solve, so its rounded bins are pinned as-is.
-				for _, j := range c.items {
-					bin[j] = st.itemBin[j]
-				}
-				reused++
-				continue
-			}
-		}
 		for r, j := range c.items {
 			rowOf[j] = r
 		}
@@ -296,14 +256,7 @@ func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 		if err != nil {
 			// Floating-point noise in the LP can, in principle, break Hall's
 			// condition on the slot graph; fall back to the greedy heuristic
-			// rather than failing the whole pipeline. The cold solve hits the
-			// same fallback (a deficient component fails the global matching
-			// too), so warm and cold still agree; cached components are
-			// dropped since the fallback bypasses the matching entirely.
-			if st != nil {
-				st.compFP = nil
-				st.LastCompReused, st.LastCompTotal = 0, len(comps)
-			}
+			// rather than failing the whole pipeline.
 			greedy, gerr := SolveGreedy(ins)
 			if gerr != nil {
 				return nil, fmt.Errorf("gap: rounding matching failed (%v) and greedy fallback failed: %w", err, gerr)
@@ -313,18 +266,6 @@ func roundShmoysTardos(ins *Instance, st *RoundingState) (*Assignment, error) {
 		for r, j := range c.items {
 			bin[j] = slots[c.slots[assign[r]]].bin
 		}
-	}
-	if st != nil {
-		st.LastCompReused, st.LastCompTotal = reused, len(comps)
-		if st.compFP == nil {
-			st.compFP = make(map[int]uint64, len(comps))
-		} else {
-			clear(st.compFP)
-		}
-		for _, c := range comps {
-			st.compFP[c.items[0]] = c.fp
-		}
-		st.itemBin = append(st.itemBin[:0], bin...)
 	}
 	total, err := ins.CostOf(bin)
 	if err != nil {

@@ -1,12 +1,5 @@
 package gap
 
-import (
-	"fmt"
-	"math"
-
-	"mecache/internal/flow"
-)
-
 // SolveTransport solves the slotted special case of GAP exactly via
 // min-cost flow: every item occupies exactly one slot, and bin i offers
 // slots[i] slots. This is the shape produced by the paper's
@@ -16,87 +9,11 @@ import (
 // one service.
 //
 // Because the underlying transportation LP has an integral optimum, the
-// returned assignment is optimal for the slotted instance — on this shape
-// the Shmoys-Tardos rounding would return the same cost, so this is the
-// scalable fast path used by the large experiments.
+// returned assignment is optimal for the slotted instance, and it never
+// puts more items in a bin than it has slots — which is why it is Appro's
+// default solver.
 func SolveTransport(cost [][]float64, slots []int) (*Assignment, error) {
-	n := len(cost)
-	m := len(slots)
-	if n == 0 {
-		return &Assignment{}, nil
-	}
-	totalSlots := 0
-	for i, s := range slots {
-		if s < 0 {
-			return nil, fmt.Errorf("gap: bin %d has negative slot count %d", i, s)
-		}
-		totalSlots += s
-	}
-	if totalSlots < n {
-		return nil, fmt.Errorf("gap: %d items exceed %d total slots", n, totalSlots)
-	}
-	for j, row := range cost {
-		if len(row) != m {
-			return nil, fmt.Errorf("gap: item %d has %d costs, want %d", j, len(row), m)
-		}
-	}
-
-	// Node layout: [0,n) items, [n,n+m) bins, n+m source, n+m+1 sink.
-	g := flow.NewNetwork(n + m + 2)
-	src, sink := n+m, n+m+1
-	for j := 0; j < n; j++ {
-		if _, err := g.AddArc(src, j, 1, 0); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < m; i++ {
-		if slots[i] == 0 {
-			continue
-		}
-		if _, err := g.AddArc(n+i, sink, slots[i], 0); err != nil {
-			return nil, err
-		}
-	}
-	arcID := make([][]int, n)
-	for j := 0; j < n; j++ {
-		arcID[j] = make([]int, m)
-		for i := 0; i < m; i++ {
-			arcID[j][i] = -1
-			c := cost[j][i]
-			if math.IsInf(c, 1) {
-				continue
-			}
-			if math.IsNaN(c) || math.IsInf(c, -1) {
-				return nil, fmt.Errorf("gap: invalid cost at item %d bin %d: %v", j, i, c)
-			}
-			id, err := g.AddArc(j, n+i, 1, c)
-			if err != nil {
-				return nil, err
-			}
-			arcID[j][i] = id
-		}
-	}
-	res, err := g.MinCostFlow(src, sink, n)
-	if err != nil {
-		return nil, err
-	}
-	if res.Flow < n {
-		return nil, fmt.Errorf("gap: only %d of %d items are placeable", res.Flow, n)
-	}
-	bin := make([]int, n)
-	for j := 0; j < n; j++ {
-		bin[j] = -1
-		for i := 0; i < m; i++ {
-			if arcID[j][i] >= 0 && g.ArcFlow(arcID[j][i]) > 0 {
-				bin[j] = i
-				break
-			}
-		}
-		if bin[j] < 0 {
-			return nil, fmt.Errorf("gap: item %d unassigned despite full flow", j)
-		}
-	}
-	return &Assignment{Bin: bin, Cost: res.Cost}, nil
+	return SolveCongestionTransport(cost, slots, nil)
 }
 
 // SolveCongestionTransport solves the slotted assignment with convex
@@ -111,8 +28,9 @@ func SolveTransport(cost [][]float64, slots []int) (*Assignment, error) {
 // paper's own observation that the derivation "relies only on the
 // non-decreasing of cost with congestion levels".
 //
-// The implementation lives in SolveCongestionTransportWarm (warm.go); this
-// entry point is the stateless cold solve.
+// The implementation is the persistent solver of warm.go
+// (SolveCongestionTransportWarm); this entry point is its cold solve, every
+// row added to an empty state.
 func SolveCongestionTransport(base [][]float64, slots []int, marginal func(bin, k int) float64) (*Assignment, error) {
 	a, _, err := SolveCongestionTransportWarm(base, slots, marginal, nil)
 	return a, err

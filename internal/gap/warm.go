@@ -3,25 +3,27 @@ package gap
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mecache/internal/flow"
 )
 
-// This file is the warm-start layer of the epoch GAP solve. Both solver
-// states cache a fingerprint of the exact reduction they last solved plus
-// the solution; a re-solve of a byte-identical reduction returns the cached
-// assignment without touching the solver, and a small delta reuses every
-// part of the cached solve that provably cannot have changed (the built
-// flow network with only changed rows repriced, the rounding of untouched
-// matching components). Correctness leans on one invariant: every reuse
-// path either reproduces the exact operation sequence of the cold solve or
-// returns a result the cold solve is proven to reproduce, so warm output is
-// byte-identical to cold output — the differential suites enforce it.
+// This file is the persistent exact solver behind SolveCongestionTransport.
+// A TransportState keeps the optimal flow of the last reduction it solved,
+// with its Johnson potentials, and turns the next reduction into a delta:
+// rows are matched to the kept ones (bit-identical rows in order, the rest
+// by fingerprint, every match confirmed against the kept row), departed or
+// repriced rows cancel their unit path and repair the one slot arc that may
+// have turned profitable, and new rows route one unit each by an
+// early-exit Dijkstra. Every step keeps the invariant that every residual
+// arc has a non-negative reduced cost, so the kept flow is optimal after
+// each step (DESIGN.md §5l). A cold solve is the same code adding every row
+// to an empty state.
 
 // fp128 is a 128-bit incremental fingerprint (FNV-1a paired with a rotated
-// multiply-accumulate) over 64-bit words. Two independent 64-bit mixes make
-// an accidental collision — which would silently revive a stale solution —
-// astronomically unlikely rather than merely improbable.
+// multiply-accumulate) over 64-bit words, folded to 64 bits per row. Row
+// matches are confirmed against the kept row anyway, so a collision costs
+// a needless repair, never a wrong answer.
 type fp128 struct{ a, b uint64 }
 
 func newFP() fp128 {
@@ -35,58 +37,97 @@ func (h *fp128) word(w uint64) {
 }
 
 func (h *fp128) float(f float64) { h.word(math.Float64bits(f)) }
-func (h *fp128) int(v int)       { h.word(uint64(v)) }
+func (h *fp128) sum() uint64     { return h.a ^ (h.b * 1099511628211) }
 
-func rowFingerprint(row []float64) uint64 {
-	h := newFP()
-	for _, v := range row {
-		h.float(v)
+// unbounded is the capacity of the last chain arc of a bin whose slot count
+// covers every item (Appro's remote bin): such a bin can never fill, so a
+// change in the item count leaves its arcs alone.
+const unbounded = math.MaxInt32
+
+// SolveKind says how a TransportState served a solve.
+type SolveKind uint8
+
+// Solve kinds.
+const (
+	// SolveRebuild built the network from empty: the first solve, one
+	// after Invalidate or an error, or one whose bin count, slot counts or
+	// marginal-cost chains changed.
+	SolveRebuild SolveKind = iota
+	// SolveRepair applied a row delta to the kept optimum.
+	SolveRepair
+	// SolveHit found no delta at all.
+	SolveHit
+)
+
+func (k SolveKind) String() string {
+	switch k {
+	case SolveRepair:
+		return "repair"
+	case SolveHit:
+		return "hit"
+	default:
+		return "rebuild"
 	}
-	return h.a ^ (h.b * 1099511628211)
 }
 
-// TransportState carries the cached reduction and solver scratch of one
-// congestion-transport solve across epochs. The zero value is ready to use;
-// a nil *TransportState selects the plain cold solve.
+// TransportState is the persistent solver of the congestion-transport
+// reduction. The zero value is ready to use; it is not safe for concurrent
+// use. Node layout: bin b is node b, the sink is node m, and item nodes
+// follow, recycled as rows come and go; per-item data is indexed by the
+// item node's slot, node - (m+1).
 type TransportState struct {
-	net    *flow.Network
-	arcID  [][]int // arcID[j][i] = item j -> bin i arc, -1 when forbidden
-	arcRow []int   // backing array for arcID rows
+	net   *flow.Network
+	m     int
+	valid bool
 
-	rowFP    []uint64 // per-item fingerprint of its base-cost row
-	newRowFP []uint64 // scratch for the incoming epoch's row fingerprints
-	slotFP   uint64   // fingerprint over bin slots and marginal-cost chains
-	fpA, fpB uint64   // whole-reduction fingerprint (rows + slots + dims)
+	// Bin b's marginal-cost chain, as runs [runAt[b], runAt[b+1]) of equal
+	// cost; run r is one arc runArc[r] of capacity runCap[r] to the sink.
+	runAt   []int
+	runCost []float64
+	runCap  []int
+	runArc  []int
 
-	bin   []int   // cached optimal assignment
-	cost  float64 // cached optimal cost
-	n, m  int
-	built bool // network + arcID mirror the cached reduction
-	valid bool // bin/cost solve the cached reduction
+	rows     []int     // rows[j] = node of item j of the last solve
+	slotFP   []uint64  // fingerprint of the item's row over open bins
+	slotArc  []int     // the item's arc carrying its unit, as last seen
+	slotRow  []float64 // the row the item was built from, stride m
+	slotKept []bool    // scratch: the kept item matched a new row
 
-	// Counters, readable by callers for span attrs and tests.
-	Hits            uint64 // solves skipped entirely (identical reduction)
-	Misses          uint64 // solves that ran the min-cost flow
-	Patched         uint64 // misses served by repricing the cached network
-	LastWarm        bool   // last call was a Hit
-	LastChangedRows int    // rows repriced on the last patched solve
+	// Scratch, reused across solves.
+	newAt   []int
+	newCost []float64
+	newCap  []int
+	fp      []uint64 // fp[j] = fingerprint of new row j
+	match   []int    // match[j] = kept node serving new row j, or -1
+	oldLeft []int    // kept nodes the positional pass left unmatched
+	newLeft []int    // new rows the positional pass left unmatched
+	order   []int    // rows by (fingerprint, open entries, index)
+	count   []int
+
+	// Counters, readable by callers for span attrs and tests. Hits counts
+	// solves with no delta, Misses every other solve, Patched the misses
+	// served by a repair of the kept optimum.
+	Hits, Misses, Patched uint64
+	// Last describes the most recent solve: its kind and the rows it
+	// added to and cancelled from the kept optimum (a rebuild adds every
+	// row and cancels none).
+	Last                   SolveKind
+	LastAdded, LastRemoved int
 }
 
-// Invalidate drops the cached solution and network, forcing the next solve
-// cold. Scratch buffers are kept.
+// Invalidate drops the kept optimum, forcing the next solve to rebuild.
+// Buffers are kept.
 func (st *TransportState) Invalidate() {
 	if st == nil {
 		return
 	}
-	st.valid, st.built = false, false
+	st.valid = false
 }
 
-// SolveCongestionTransportWarm is SolveCongestionTransport with a reusable
-// state: an unchanged reduction returns the cached assignment (warm=true),
-// a reduction differing only in some items' base-cost rows reprices those
-// rows on the cached network and re-runs the flow, and anything else falls
-// back to a full rebuild — all three paths byte-identical to the cold
-// solver by construction. st may be nil (always cold).
+// SolveCongestionTransportWarm is SolveCongestionTransport on a reusable
+// state: the result is the state's kept optimum, repaired for whatever
+// changed since its last solve, and is byte-identical to a cold solve's.
+// warm reports a solve with no delta at all. st may be nil (a cold solve).
 func SolveCongestionTransportWarm(base [][]float64, slots []int, marginal func(bin, k int) float64, st *TransportState) (*Assignment, bool, error) {
 	n := len(base)
 	m := len(slots)
@@ -106,269 +147,422 @@ func SolveCongestionTransportWarm(base [][]float64, slots []int, marginal func(b
 		if s < 0 {
 			return nil, false, fmt.Errorf("gap: bin %d has negative slot count %d", i, s)
 		}
-		totalSlots += s
+		totalSlots += min(s, n)
 	}
 	if totalSlots < n {
 		return nil, false, fmt.Errorf("gap: %d items exceed %d total slots", n, totalSlots)
 	}
-
 	if st == nil {
 		st = &TransportState{}
 	}
+	if err := st.chains(slots, marginal, n); err != nil {
+		return nil, false, err
+	}
+	a, err := st.solve(base)
+	if err != nil {
+		st.valid = false
+		return nil, false, err
+	}
+	return a, st.Last == SolveHit, nil
+}
 
-	// Fingerprint the reduction: the slot/marginal chain, then every
-	// base-cost row. Hashing is O(instance) — microseconds against the
-	// milliseconds of a flow solve.
-	sh := newFP()
-	sh.int(m)
-	for i := 0; i < m; i++ {
-		sh.int(slots[i])
-		for k := 1; k <= slots[i]; k++ {
-			sh.float(marginal(i, k))
-		}
-	}
-	slotFP := sh.a ^ (sh.b * 1099511628211)
-	if cap(st.newRowFP) < n {
-		st.newRowFP = make([]uint64, n)
-	}
-	newRow := st.newRowFP[:n]
-	h := newFP()
-	h.int(n)
-	h.word(slotFP)
-	for j := 0; j < n; j++ {
-		newRow[j] = rowFingerprint(base[j])
-		h.word(newRow[j])
-	}
-
-	if st.valid && st.n == n && st.m == m && h.a == st.fpA && h.b == st.fpB {
-		st.Hits++
-		st.LastWarm = true
-		st.LastChangedRows = 0
-		return &Assignment{Bin: append([]int(nil), st.bin...), Cost: st.cost}, true, nil
-	}
-	st.Misses++
-	st.LastWarm = false
-	st.valid = false
-
-	src, sink := n+m, n+m+1
-	patched := false
-	if st.built && st.n == n && st.m == m && st.slotFP == slotFP {
-		// Same dimensions and identical slot/marginal chains: try repricing
-		// only the changed rows on the cached network. Valid only if each
-		// changed row keeps its forbidden (+Inf) pattern — otherwise the arc
-		// structure differs and we rebuild.
-		patched = true
-		changed := 0
-		for j := 0; j < n && patched; j++ {
-			if newRow[j] == st.rowFP[j] {
+// chains validates every bin's marginal-cost chain and computes its runs
+// for n items into the new* scratch: the costs of slots 1..min(slots, n),
+// equal neighbours merged, the last run unbounded when the slots cover
+// every item.
+func (st *TransportState) chains(slots []int, marginal func(bin, k int) float64, n int) error {
+	st.newAt = append(st.newAt[:0], 0)
+	st.newCost, st.newCap = st.newCost[:0], st.newCap[:0]
+	for i, s := range slots {
+		first := len(st.newCost)
+		prev := math.Inf(-1)
+		for k := 1; k <= s; k++ {
+			mc := marginal(i, k)
+			if math.IsNaN(mc) || math.IsInf(mc, 0) {
+				return fmt.Errorf("gap: marginal cost of bin %d at k=%d is %v", i, k, mc)
+			}
+			// Marginal costs must be non-decreasing in k for the chain to
+			// price occupancy exactly (convex congestion).
+			if mc < prev-1e-9 {
+				return fmt.Errorf("gap: marginal cost of bin %d decreases at k=%d (%v < %v)", i, k, mc, prev)
+			}
+			prev = mc
+			if k > n {
 				continue
 			}
-			changed++
-			for i := 0; i < m; i++ {
-				c := base[j][i]
-				if math.IsInf(c, 1) != (st.arcID[j][i] < 0) {
-					patched = false
-					break
-				}
-				if math.IsInf(c, 1) {
-					continue
-				}
-				if math.IsNaN(c) || math.IsInf(c, -1) {
-					return nil, false, fmt.Errorf("gap: invalid base cost at item %d bin %d: %v", j, i, c)
-				}
+			if last := len(st.newCost) - 1; last >= first && math.Float64bits(st.newCost[last]) == math.Float64bits(mc) {
+				st.newCap[last]++
+				continue
 			}
+			st.newCost = append(st.newCost, mc)
+			st.newCap = append(st.newCap, 1)
 		}
-		if patched {
-			st.net.ResetUnitFlows()
-			for j := 0; j < n; j++ {
-				if newRow[j] == st.rowFP[j] {
-					continue
-				}
-				for i := 0; i < m; i++ {
-					if id := st.arcID[j][i]; id >= 0 {
-						st.net.SetArcCost(id, base[j][i])
-					}
-				}
-			}
-			st.Patched++
-			st.LastChangedRows = changed
+		if s >= n && len(st.newCost) > first {
+			st.newCap[len(st.newCap)-1] = unbounded
 		}
+		st.newAt = append(st.newAt, len(st.newCost))
 	}
-	if !patched {
-		st.built = false
-		st.LastChangedRows = n
-		if st.net == nil {
-			st.net = flow.NewNetwork(n + m + 2)
-		} else {
-			st.net.Reset(n + m + 2)
-		}
-		g := st.net
-		for j := 0; j < n; j++ {
-			if _, err := g.AddArc(src, j, 1, 0); err != nil {
-				return nil, false, err
-			}
-		}
-		// Convex congestion chain: one unit arc per slot with the marginal
-		// cost of that occupancy level. Marginal costs must be non-decreasing
-		// in k for the decomposition to be exact; validate defensively.
-		for i := 0; i < m; i++ {
-			prev := math.Inf(-1)
-			for k := 1; k <= slots[i]; k++ {
-				mc := marginal(i, k)
-				if mc < prev-1e-9 {
-					return nil, false, fmt.Errorf("gap: marginal cost of bin %d decreases at k=%d (%v < %v)", i, k, mc, prev)
-				}
-				prev = mc
-				if _, err := g.AddArc(n+i, sink, 1, mc); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		if cap(st.arcRow) < n*m {
-			st.arcRow = make([]int, n*m)
-		}
-		if cap(st.arcID) < n {
-			st.arcID = make([][]int, n)
-		}
-		st.arcID = st.arcID[:n]
-		for j := 0; j < n; j++ {
-			st.arcID[j] = st.arcRow[j*m : (j+1)*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				st.arcID[j][i] = -1
-				c := base[j][i]
-				if math.IsInf(c, 1) {
-					continue
-				}
-				if math.IsNaN(c) || math.IsInf(c, -1) {
-					return nil, false, fmt.Errorf("gap: invalid base cost at item %d bin %d: %v", j, i, c)
-				}
-				id, err := g.AddArc(j, n+i, 1, c)
-				if err != nil {
-					return nil, false, err
-				}
-				st.arcID[j][i] = id
-			}
-		}
-		st.built = true
-	}
-
-	res, err := st.net.MinCostFlow(src, sink, n)
-	if err != nil {
-		st.built = false // flows half-applied; the network is not reusable
-		return nil, false, err
-	}
-	if res.Flow < n {
-		st.built = false
-		return nil, false, fmt.Errorf("gap: only %d of %d items are placeable", res.Flow, n)
-	}
-	bin := make([]int, n)
-	for j := 0; j < n; j++ {
-		bin[j] = -1
-		for i := 0; i < m; i++ {
-			if st.arcID[j][i] >= 0 && st.net.ArcFlow(st.arcID[j][i]) > 0 {
-				bin[j] = i
-				break
-			}
-		}
-		if bin[j] < 0 {
-			st.built = false
-			return nil, false, fmt.Errorf("gap: item %d unassigned despite full flow", j)
-		}
-	}
-
-	// Cache the solved reduction.
-	st.n, st.m = n, m
-	st.slotFP = slotFP
-	st.fpA, st.fpB = h.a, h.b
-	st.rowFP, st.newRowFP = newRow, st.rowFP
-	st.bin = append(st.bin[:0], bin...)
-	st.cost = res.Cost
-	st.valid = true
-	return &Assignment{Bin: bin, Cost: res.Cost}, false, nil
+	return nil
 }
 
-// RoundingState caches one Shmoys-Tardos rounding across epochs: the whole
-// instance's fingerprint (exact-hit skip) and, per matching component of
-// the slot graph, the component's fingerprint and rounded bins, so a
-// re-round only re-matches components whose items, slots, or costs changed.
-// The zero value is ready; nil selects the cold path.
-type RoundingState struct {
-	fpA, fpB uint64
-	n        int
-	valid    bool
-	bin      []int
-	cost     float64
+// open reports whether bin b has any slot under the new chains. Items get
+// no arc to a closed bin, and rows are compared on open bins only.
+func (st *TransportState) open(b int) bool { return st.newAt[b] < st.newAt[b+1] }
 
-	compFP  map[int]uint64 // keyed by the component's smallest item index
-	itemBin []int          // itemBin[j] = rounded bin of item j, last solve
-
-	// Counters for span attrs and tests.
-	Hits           uint64 // solves skipped entirely (identical instance)
-	Misses         uint64
-	LastWarm       bool
-	LastCompReused int // components reused on the last miss
-	LastCompTotal  int
-}
-
-// Invalidate drops the cached instance and component roundings.
-func (st *RoundingState) Invalidate() {
-	if st == nil {
-		return
-	}
-	st.valid = false
-	st.compFP = nil
-}
-
-// instanceFingerprint hashes everything a Shmoys-Tardos solve reads.
-func instanceFingerprint(ins *Instance) (uint64, uint64) {
+// rowFingerprint validates row j and hashes its entries on open bins.
+func (st *TransportState) rowFingerprint(j int, row []float64) (uint64, error) {
 	h := newFP()
-	h.int(ins.NumItems())
-	h.int(ins.NumBins())
-	for j := range ins.Cost {
-		for i := range ins.Cost[j] {
-			h.float(ins.Cost[j][i])
-			h.float(ins.Weight[j][i])
+	for b, c := range row {
+		if math.IsNaN(c) || math.IsInf(c, -1) {
+			return 0, fmt.Errorf("gap: invalid base cost at item %d bin %d: %v", j, b, c)
 		}
-	}
-	for _, c := range ins.Cap {
+		if !st.open(b) {
+			c = Forbidden
+		}
 		h.float(c)
 	}
-	return h.a, h.b
+	return h.sum(), nil
 }
 
-// SolveShmoysTardosWarm is SolveShmoysTardos with incremental re-rounding:
-// an unchanged instance returns the cached assignment (warm=true); a
-// changed instance re-solves the LP but re-matches only the matching
-// components whose fingerprint changed, keeping every untouched
-// component's integral assignment pinned. Both paths are byte-identical to
-// the cold solver (per-component matching provably equals the global
-// matching; see DESIGN.md §5l). st may be nil (always cold).
-func SolveShmoysTardosWarm(ins *Instance, st *RoundingState) (*Assignment, bool, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, false, err
+// sameChains reports whether the new chains equal the kept ones.
+func (st *TransportState) sameChains() bool {
+	if !slices.Equal(st.newAt, st.runAt) || !slices.Equal(st.newCap, st.runCap) {
+		return false
 	}
-	var fpA, fpB uint64
-	if st != nil {
-		fpA, fpB = instanceFingerprint(ins)
-		if st.valid && st.n == ins.NumItems() && fpA == st.fpA && fpB == st.fpB {
-			st.Hits++
-			st.LastWarm = true
-			return &Assignment{Bin: append([]int(nil), st.bin...), Cost: st.cost}, true, nil
+	for r, c := range st.newCost {
+		if math.Float64bits(c) != math.Float64bits(st.runCost[r]) {
+			return false
 		}
+	}
+	return true
+}
+
+// rebuild resets the network to the bins, the sink and the new chains.
+func (st *TransportState) rebuild() {
+	m := len(st.newAt) - 1
+	if st.net == nil {
+		st.net = flow.NewNetwork(m + 1)
+	} else {
+		st.net.Reset(m + 1)
+	}
+	st.m = m
+	st.runAt = append(st.runAt[:0], st.newAt...)
+	st.runCost = append(st.runCost[:0], st.newCost...)
+	st.runCap = append(st.runCap[:0], st.newCap...)
+	st.runArc = st.runArc[:0]
+	sinkPot := 0.0
+	for b := 0; b < m; b++ {
+		for r := st.runAt[b]; r < st.runAt[b+1]; r++ {
+			id, _ := st.net.AddArc(b, m, st.runCap[r], st.runCost[r]) // endpoints and costs validated
+			st.runArc = append(st.runArc, id)
+			sinkPot = min(sinkPot, st.runCost[r])
+		}
+	}
+	// Every chain arc starts with a non-negative reduced cost.
+	st.net.SetPotential(m, sinkPot)
+	st.rows = st.rows[:0]
+	st.slotFP, st.slotArc, st.slotRow = st.slotFP[:0], st.slotArc[:0], st.slotRow[:0]
+}
+
+// slot returns the per-item index of an item node.
+func (st *TransportState) slot(node int) int { return node - st.m - 1 }
+
+// keptRow returns the row an item node was built from.
+func (st *TransportState) keptRow(node int) []float64 {
+	k := st.slot(node) * st.m
+	return st.slotRow[k : k+st.m : k+st.m]
+}
+
+// sameBits reports whether two rows are bit-for-bit identical.
+func sameBits(x, y []float64) bool {
+	for b := range x {
+		if math.Float64bits(x[b]) != math.Float64bits(y[b]) {
+			return false
+		}
+	}
+	return true
+}
+
+// flowArc returns the arc an item node routes its unit over.
+func (st *TransportState) flowArc(node int) int {
+	k := st.slot(node)
+	if id := st.slotArc[k]; id >= 0 && st.net.ArcFlow(id) > 0 {
+		return id
+	}
+	for _, id := range st.net.Out(node) {
+		if st.net.ArcFlow(int(id)) > 0 {
+			st.slotArc[k] = int(id)
+			return int(id)
+		}
+	}
+	panic("gap: kept item routes no unit")
+}
+
+// diff matches the new rows to the kept ones, filling st.match and st.fp.
+// A positional pass pairs bit-identical rows in order, looking one row
+// ahead on either side, so appends and single removals cost one row
+// comparison each; rows it leaves over are paired by fingerprint, each
+// pair confirmed against the kept row on every open bin.
+func (st *TransportState) diff(base [][]float64) error {
+	n, kept := len(base), st.rows
+	st.match, st.fp = st.match[:0], st.fp[:0]
+	for j := 0; j < n; j++ {
+		st.match = append(st.match, -1)
+		st.fp = append(st.fp, 0)
+	}
+	oldLeft, newLeft := st.oldLeft[:0], st.newLeft[:0]
+	i, j := 0, 0
+	for i < len(kept) && j < n {
+		switch {
+		case sameBits(st.keptRow(kept[i]), base[j]):
+			st.match[j] = kept[i]
+			st.fp[j] = st.slotFP[st.slot(kept[i])]
+			i++
+			j++
+		case i+1 < len(kept) && sameBits(st.keptRow(kept[i+1]), base[j]):
+			oldLeft = append(oldLeft, kept[i])
+			i++
+		case j+1 < n && sameBits(st.keptRow(kept[i]), base[j+1]):
+			newLeft = append(newLeft, j)
+			j++
+		default:
+			oldLeft = append(oldLeft, kept[i])
+			newLeft = append(newLeft, j)
+			i++
+			j++
+		}
+	}
+	oldLeft = append(oldLeft, kept[i:]...)
+	for ; j < n; j++ {
+		newLeft = append(newLeft, j)
+	}
+	st.oldLeft, st.newLeft = oldLeft, newLeft
+	for _, j := range newLeft {
+		h, err := st.rowFingerprint(j, base[j])
+		if err != nil {
+			return err
+		}
+		st.fp[j] = h
+	}
+	if len(oldLeft) == 0 || len(newLeft) == 0 {
+		return nil
+	}
+	slices.SortFunc(newLeft, func(a, b int) int { return cmpFP(st.fp[a], st.fp[b], a, b) })
+	slices.SortFunc(oldLeft, func(a, b int) int {
+		return cmpFP(st.slotFP[st.slot(a)], st.slotFP[st.slot(b)], a, b)
+	})
+	for x, y := 0, 0; x < len(newLeft) && y < len(oldLeft); {
+		j, node := newLeft[x], oldLeft[y]
+		switch h := st.slotFP[st.slot(node)]; {
+		case st.fp[j] < h:
+			x++
+		case st.fp[j] > h:
+			y++
+		default:
+			if st.compareOpen(st.keptRow(node), base[j]) == 0 {
+				st.match[j] = node
+				copy(st.keptRow(node), base[j])
+			}
+			x++
+			y++
+		}
+	}
+	return nil
+}
+
+// cmpFP orders by fingerprint, then by index.
+func cmpFP(fa, fb uint64, a, b int) int {
+	switch {
+	case fa < fb:
+		return -1
+	case fa > fb:
+		return 1
+	}
+	return a - b
+}
+
+// solve diffs base against the kept optimum (or rebuilds), applies the
+// delta, and extracts the canonical assignment.
+func (st *TransportState) solve(base [][]float64) (*Assignment, error) {
+	n := len(base)
+	m := len(st.newAt) - 1
+	rebuilt := !st.valid || st.m != m || !st.sameChains()
+	if rebuilt {
+		st.rebuild()
+	}
+	st.valid = true
+	if err := st.diff(base); err != nil {
+		return nil, err
+	}
+	g, sink := st.net, m
+
+	// Departed and repriced rows: cancel the unit path, drop the node, and
+	// repair the slot arc the cancelled unit freed.
+	kept := st.slotKept[:0]
+	for range st.slotFP {
+		kept = append(kept, false)
+	}
+	for _, node := range st.match {
+		if node >= 0 {
+			kept[st.slot(node)] = true
+		}
+	}
+	st.slotKept = kept
+	removed := 0
+	for _, node := range st.rows {
+		if kept[st.slot(node)] {
+			continue
+		}
+		id := st.flowArc(node)
+		b := g.Head(id)
+		g.AddFlow(id, -1)
+		r := st.runAt[b+1] - 1
+		for g.ArcFlow(st.runArc[r]) == 0 {
+			r--
+		}
+		g.AddFlow(st.runArc[r], -1)
+		g.RemoveNode(node)
+		g.Relax(st.runArc[r])
+		removed++
+	}
+
+	// New rows: price the node so its arcs start non-negative, then route
+	// its unit with one early-exit Dijkstra.
+	added := 0
+	rows := st.rows[:0]
+	for j := 0; j < n; j++ {
+		if node := st.match[j]; node >= 0 {
+			rows = append(rows, node)
+			continue
+		}
+		node := g.AddNode()
+		k := st.slot(node)
+		if k == len(st.slotFP) {
+			st.slotFP = append(st.slotFP, 0)
+			st.slotArc = append(st.slotArc, 0)
+			st.slotRow = append(st.slotRow, base[j]...)
+		}
+		st.slotFP[k], st.slotArc[k] = st.fp[j], -1
+		copy(st.keptRow(node), base[j])
+		rows = append(rows, node)
+		price := math.Inf(-1)
+		for b, c := range base[j] {
+			if math.IsInf(c, 1) || !st.open(b) {
+				continue
+			}
+			g.AddArc(node, b, 1, c) // endpoints and cost validated
+			price = max(price, g.Potential(b)-c)
+		}
+		if math.IsInf(price, -1) {
+			return nil, fmt.Errorf("gap: item %d has no permitted bin with a slot", j)
+		}
+		g.SetPotential(node, price)
+		if !g.Augment(node, sink) {
+			return nil, fmt.Errorf("gap: item %d cannot be placed: every permitted bin is full", j)
+		}
+		added++
+	}
+	st.rows = rows
+	g.Rebase(sink)
+
+	switch {
+	case rebuilt:
+		st.Last = SolveRebuild
+	case added+removed == 0:
+		st.Last = SolveHit
+	default:
+		st.Last = SolveRepair
+	}
+	st.LastAdded, st.LastRemoved = added, removed
+	if st.Last == SolveHit {
+		st.Hits++
+	} else {
 		st.Misses++
-		st.LastWarm = false
-		st.valid = false
+		if !rebuilt {
+			st.Patched++
+		}
 	}
-	sol, err := roundShmoysTardos(ins, st)
-	if err != nil {
-		return nil, false, err
+
+	bin := make([]int, n)
+	for j, node := range rows {
+		bin[j] = g.Head(st.flowArc(node))
 	}
-	if st != nil {
-		st.n = ins.NumItems()
-		st.fpA, st.fpB = fpA, fpB
-		st.bin = append(st.bin[:0], sol.Bin...)
-		st.cost = sol.Cost
-		st.valid = true
+	st.canonicalize(base, bin)
+	return &Assignment{Bin: bin, Cost: st.costOf(base, bin)}, nil
+}
+
+// canonicalize makes the assignment unique up to the optimum itself: rows
+// with identical entries on every open bin are interchangeable, so each
+// such group gets its bins in ascending order, handed to its items in
+// ascending index order. Warm and cold solves that reach the same optimum
+// therefore return the same bytes.
+func (st *TransportState) canonicalize(base [][]float64, bin []int) {
+	order := st.order[:0]
+	for j := range bin {
+		order = append(order, j)
 	}
-	return sol, false, nil
+	st.order = order
+	slices.SortFunc(order, func(a, b int) int {
+		if st.fp[a] == st.fp[b] {
+			if c := st.compareOpen(base[a], base[b]); c != 0 {
+				return c
+			}
+		}
+		return cmpFP(st.fp[a], st.fp[b], a, b)
+	})
+	// Each group of identical rows is now contiguous, ascending by index.
+	for a := 0; a < len(order); {
+		e := a + 1
+		for e < len(order) && st.fp[order[e]] == st.fp[order[a]] && st.compareOpen(base[order[a]], base[order[e]]) == 0 {
+			e++
+		}
+		if e-a > 1 {
+			bins := st.count[:0]
+			for _, j := range order[a:e] {
+				bins = append(bins, bin[j])
+			}
+			slices.Sort(bins)
+			for k, j := range order[a:e] {
+				bin[j] = bins[k]
+			}
+			st.count = bins
+		}
+		a = e
+	}
+}
+
+// compareOpen orders two rows by the bits of their entries on open bins.
+func (st *TransportState) compareOpen(x, y []float64) int {
+	for b := range x {
+		if xb, yb := math.Float64bits(x[b]), math.Float64bits(y[b]); xb != yb && st.open(b) {
+			if xb < yb {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// costOf totals the assignment: base costs in item order, then each bin's
+// chain filled cheapest run first.
+func (st *TransportState) costOf(base [][]float64, bin []int) float64 {
+	total := 0.0
+	count := st.count[:0]
+	for b := 0; b < st.m; b++ {
+		count = append(count, 0)
+	}
+	st.count = count
+	for j, b := range bin {
+		total += base[j][b]
+		count[b]++
+	}
+	for b, k := range count {
+		for r := st.runAt[b]; r < st.runAt[b+1] && k > 0; r++ {
+			take := min(k, st.runCap[r])
+			total += float64(take) * st.runCost[r]
+			k -= take
+		}
+	}
+	return total
 }

@@ -59,10 +59,9 @@ type state struct {
 	// health endpoint; cleared by the next successful epoch.
 	lastEpochErr string
 
-	// solve carries the warm-start caches across this market's epochs
-	// (reduction fingerprints, cached transport network, rounding
-	// components, last LCF result). Loop-owned like everything else here;
-	// epoch outcomes are byte-identical with or without it.
+	// solve carries the warm-start state across this market's epochs (the
+	// kept transport optimum, last LCF result). Loop-owned like everything
+	// else here; epoch outcomes are byte-identical with or without it.
 	solve dynamic.EpochSolveState
 }
 
@@ -670,6 +669,9 @@ func (s *Server) epochCmd(st *state) cmdResult {
 				obs.Int64("reconfigurations", int64(est.Reconfigurations)),
 				obs.String("solver", est.Solver),
 				obs.String("warm_start", warm),
+				obs.String("transport", est.Transport),
+				obs.Int64("rows_added", int64(est.TransportAdded)),
+				obs.Int64("rows_removed", int64(est.TransportRemoved)),
 				obs.Int64("shards", int64(est.Shards)),
 			},
 		})

@@ -494,6 +494,58 @@ func TestTracedEpochSpans(t *testing.T) {
 	}
 }
 
+// TestTracedEpochTransportAttrs checks that epoch_solve spans say how the
+// transport solve was served: the first epoch builds the solver from
+// scratch, an epoch over an unchanged market is a hit, and an epoch after
+// an admission applies a row delta (or rebuilds, if the newcomer moved a
+// cloudlet's virtual slot count).
+func TestTracedEpochTransportAttrs(t *testing.T) {
+	cfg := testConfig(53)
+	_, ts := startServer(t, cfg)
+	var v View
+	getJSON(t, ts.URL+"/v1/market", &v)
+	for i := 0; i < 5; i++ {
+		admit(t, ts, drawProvider(cfg, &v, 53, i))
+	}
+	epoch := func(k uint64) (kind string, added, removed int64) {
+		t.Helper()
+		trace := obs.MintTraceID(53, k)
+		resp, data := postTraced(t, ts.URL+"/v1/admin/epoch", obs.FormatTraceparent(trace, 1), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("epoch: %d %s", resp.StatusCode, data)
+		}
+		var sr spansResponse
+		getJSON(t, ts.URL+"/v1/debug/spans?n=0&trace="+trace, &sr)
+		solve, ok := spansByStage(t, sr.Spans)[obs.StageEpochSolve]
+		if !ok {
+			t.Fatal("no epoch_solve span")
+		}
+		added, removed = -1, -1
+		for _, a := range solve.Attrs {
+			switch a.Key {
+			case "transport":
+				kind = a.Str
+			case "rows_added":
+				added = a.Int
+			case "rows_removed":
+				removed = a.Int
+			}
+		}
+		return kind, added, removed
+	}
+	if kind, added, removed := epoch(1); kind != "rebuild" || added != 5 || removed != 0 {
+		t.Fatalf("first epoch: transport=%q +%d -%d, want rebuild +5 -0", kind, added, removed)
+	}
+	if kind, added, removed := epoch(2); kind != "hit" || added != 0 || removed != 0 {
+		t.Fatalf("unchanged epoch: transport=%q +%d -%d, want hit +0 -0", kind, added, removed)
+	}
+	admit(t, ts, drawProvider(cfg, &v, 53, 5))
+	kind, added, removed := epoch(3)
+	if !(kind == "repair" && added == 1 && removed == 0) && !(kind == "rebuild" && added == 6) {
+		t.Fatalf("epoch after an admission: transport=%q +%d -%d", kind, added, removed)
+	}
+}
+
 // TestWALSegmentGaugesExported checks the WAL visibility satellite: a
 // WAL-backed daemon exports segment count and active-segment size gauges,
 // and a WAL-less daemon exports neither.

@@ -8,9 +8,9 @@
 //
 //   - Appro (Algorithm 1): an approximation algorithm for the non-selfish
 //     service-caching problem, built on a virtual-cloudlet reduction to the
-//     Generalized Assignment Problem solved with the Shmoys-Tardos
-//     LP-rounding approximation (with an exact min-cost-flow fast path for
-//     the slotted reduction).
+//     Generalized Assignment Problem, solved by default exactly as the
+//     slotted transportation problem it is (min-cost flow), or with the
+//     Shmoys-Tardos LP-rounding approximation on request.
 //   - LCF (Algorithm 2): the approximation-restricted Stackelberg strategy
 //     that pins the largest-cost providers to the Appro solution and lets
 //     the rest better-respond to a Nash equilibrium of the affine
