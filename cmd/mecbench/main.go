@@ -215,10 +215,10 @@ const allocTolerance = 1.25
 const allocSlack = 16
 
 // warmEpochRatioCeiling bounds the ReequilibrateWarm/Reequilibrate time
-// ratio at the largest scale: an unchanged-reduction epoch served from the
-// warm state must stay at least 5x faster than the cold solve in the same
-// run. Like the dynamics ceiling, the same-process ratio is machine- and
-// race-detector-independent.
+// ratio at the largest scale: an unchanged-market epoch, whose transport
+// solve takes the exact-hit path, must stay at least 5x faster than the
+// cold solve in the same run. Like the dynamics ceiling, the same-process
+// ratio is machine- and race-detector-independent.
 const warmEpochRatioCeiling = 0.2
 
 // churnEpochRatioCeiling bounds the ReequilibrateChurn/Reequilibrate time

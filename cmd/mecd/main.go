@@ -123,8 +123,7 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining on shutdown")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	logFormat := fs.String("log-format", "text", "log encoding: text or json")
-	traceDepth := fs.Int("trace", 64, "decision traces retained per tenant for GET /v1/debug/trace (0 disables tracing)")
-	spanDepth := fs.Int("spans", 256, "lifecycle spans retained per tenant for GET /v1/debug/spans; requests carrying a traceparent header decompose into queue-wait/WAL/apply/publish child spans (0 disables span tracing)")
+	traceDepth := fs.Int("trace", 256, "lifecycle spans retained per tenant for GET /v1/debug/spans; requests carrying a traceparent header decompose into queue-wait/WAL/apply/publish child spans, and a traced admission's best_response span carries its decision (0 disables tracing)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -147,7 +146,6 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 	cfg.Policy = pol
 	cfg.SnapshotPath = *snapshot
 	cfg.TraceDepth = *traceDepth
-	cfg.SpanDepth = *spanDepth
 	cfg.WALDir = *walDir
 	cfg.WALSync = *walSync
 	cfg.WALSyncInterval = *walSyncInterval
@@ -200,7 +198,7 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 		ln.Addr(), *seed, *size, pol)
 	build := mecache.Build()
 	logger.Info("serving", "addr", ln.Addr().String(), "seed", *seed, "size", *size,
-		"policy", pol.String(), "epoch", epoch.String(), "traceDepth", *traceDepth, "spanDepth", *spanDepth,
+		"policy", pol.String(), "epoch", epoch.String(), "traceDepth", *traceDepth,
 		"defaultTenant", *defaultTenant, "maxResidentTenants", *maxResident,
 		"version", build.Version, "revision", build.Revision, "go", build.GoVersion)
 

@@ -2,10 +2,9 @@
 // matrix (policy × topology size × load pattern × fault rate × tenants ×
 // seed reps), executes every combo against a freshly booted mecd child —
 // fresh snapshot/WAL tempdir, readiness-gated boot, serial mecload driving,
-// /metrics, /v1/debug/trace, and /v1/debug/spans scraping — and archives
+// /metrics and /v1/debug/spans scraping — and archives
 // results/<stamp>/<combo-slug>/{config.json,summary.json,metrics.prom,
-// trace.json,spans.json,mecd.log,mecload.log} plus a top-level index.json
-// and table.txt.
+// spans.json,mecd.log,mecload.log} plus a top-level index.json and table.txt.
 //
 // Every combo derives its randomness from the matrix seed and its own cell
 // coordinates, so the deterministic section of each summary.json is

@@ -458,7 +458,7 @@ func TestLoadTraceSample(t *testing.T) {
 // daemon with span tracing off accepts the traceparent headers, ignores
 // them, and the scrape yields an empty breakdown instead of an error.
 func TestLoadTraceSampleAgainstDisabledSpans(t *testing.T) {
-	url := startMarket(t, func(cfg *mecache.ServerConfig) { cfg.SpanDepth = 0 })
+	url := startMarket(t, func(cfg *mecache.ServerConfig) { cfg.TraceDepth = 0 })
 	out := loadRun(t, []string{"-url", url, "-n", "12", "-c", "2", "-seed", "8", "-trace-sample", "3"})
 	if out.Accepted != 12 || out.Errors != 0 {
 		t.Fatalf("run against spans-off daemon: %+v", out)

@@ -129,14 +129,14 @@ func reequilibrateCase(sc scale, naive bool) Case {
 	}
 }
 
-// reequilibrateWarmCase times the steady-state epoch the warm-start work
-// targets: the exact Reequilibrate call of Reequilibrate/<scale>, but
-// carrying an EpochSolveState across operations. The harness's warm-up op
-// populates the caches, so every timed op revalidates the market
-// fingerprint against an unchanged reduction and serves the solve from the
-// cached state. mecbench -bench-check enforces the warm/cold time ratio at
-// the largest scale; the ratio is machine-independent because both cases
-// run in the same process.
+// reequilibrateWarmCase times the idle epoch: the exact Reequilibrate call
+// of Reequilibrate/<scale>, but carrying an EpochSolveState across
+// operations. The harness's warm-up op builds the transport solver, so
+// every timed op finds no row delta and takes the transport exact-hit
+// path; coordination and the best-response dynamics still run.
+// mecbench -bench-check enforces the warm/cold time ratio at the largest
+// scale; the ratio is machine-independent because both cases run in the
+// same process.
 func reequilibrateWarmCase(sc scale) Case {
 	return Case{
 		Name: fmt.Sprintf("ReequilibrateWarm/%s", sc.name),

@@ -130,7 +130,6 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 		return nil, err
 	}
 	if st := opts.State; st != nil {
-		st.LastResultHit = false
 		st.LastSolver = solver
 		// Warm = the transport solve reused the kept optimum (no delta,
 		// or a repaired one); the Shmoys-Tardos path always runs cold.

@@ -71,12 +71,10 @@ type LCFOptions struct {
 	// naive scan (game.Game.NaiveScan) — the differential-test and
 	// benchmark-baseline hook; the result must be identical either way.
 	Reference bool
-	// State, when non-nil, warm-starts the solve from the previous epoch:
-	// the GAP reduction caches revalidate against the market fingerprint,
-	// and a fully identical invocation returns the cached LCF result
-	// outright. Tracing bypasses the full-result cache (events must still
-	// fire) but keeps the GAP-level reuse. Results are byte-identical with
-	// or without a state.
+	// State, when non-nil, warm-starts the inner Appro solve from the
+	// previous epoch: the transport solver repairs its kept optimum for the
+	// rows that changed (see EpochSolveState). Results are byte-identical
+	// with or without a state, traced or not.
 	State *EpochSolveState
 	// Workers, when > 1, runs the selfish best-response round sharded by
 	// cloudlet-locality components (game.Game.Workers). The outcome is
@@ -154,26 +152,11 @@ func LCF(m *mec.Market, opts LCFOptions) (*LCFResult, error) {
 		return nil, fmt.Errorf("core: xi = %v outside [0,1]", opts.Xi)
 	}
 
-	st := opts.State
-	useCache := st != nil && opts.Trace == nil && opts.Appro.Trace == nil
-	var key lcfKey
-	if useCache {
-		key = lcfKeyOf(m, opts)
-		if st.lcfValid && st.lcfKey == key {
-			st.LCFHits++
-			st.LastResultHit = true
-			st.LastWarm = true
-			st.LastSolver = st.lcfRes.Appro.SolverUsed
-			return cloneLCFResult(st.lcfRes), nil
-		}
-		st.LCFMisses++
-	}
-
 	ao := opts.Appro
 	if ao.Trace == nil {
 		ao.Trace = opts.Trace
 	}
-	ao.State = st
+	ao.State = opts.State
 	appro, err := Appro(m, ao)
 	if err != nil {
 		return nil, err
@@ -235,13 +218,6 @@ func LCF(m *mec.Market, opts LCFOptions) (*LCFResult, error) {
 		SelfishCost:     m.GroupCost(dyn.Placement, selfish),
 		Appro:           appro,
 		Dynamics:        dyn,
-	}
-	if useCache {
-		// Store a deep clone: callers mutate the returned placement in
-		// place (Reequilibrate's failure and hysteresis fixups).
-		st.lcfKey = key
-		st.lcfRes = cloneLCFResult(res)
-		st.lcfValid = true
 	}
 	return res, nil
 }

@@ -62,15 +62,13 @@ func TestEpochStateByteIdentity(t *testing.T) {
 			}
 			lcfResultsEqual(t, solver.String(), cold, warm)
 		}
-		if st.LCFMisses == 0 {
-			t.Fatalf("%s: result cache never consulted", solver)
-		}
 	}
 }
 
-// TestEpochStateResultCacheHit pins the full-result fast path: an identical
-// repeat invocation is served from the cache, and mutating the returned
-// placement (as Reequilibrate does) must not poison later hits.
+// TestEpochStateResultCacheHit pins the repeat-epoch path: an identical
+// repeat invocation is served warm (the transport solve finds no delta)
+// and matches a cold solve, and mutating the returned placement (as
+// Reequilibrate does) must not poison the kept state.
 func TestEpochStateResultCacheHit(t *testing.T) {
 	m := genMarket(t, 7, 80, 50)
 	var st EpochSolveState
@@ -79,9 +77,6 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	first, err := LCF(m, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.LCFHits != 0 || st.LCFMisses != 1 || st.LastResultHit {
-		t.Fatalf("after cold call: hits=%d misses=%d lastHit=%v", st.LCFHits, st.LCFMisses, st.LastResultHit)
 	}
 	// Caller-side mutation of every returned slice.
 	first.Placement[0] = mec.Remote
@@ -94,8 +89,8 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LCFHits != 1 || !st.LastResultHit || !st.LastWarm {
-		t.Fatalf("after repeat: hits=%d lastHit=%v lastWarm=%v", st.LCFHits, st.LastResultHit, st.LastWarm)
+	if !st.LastWarm {
+		t.Fatalf("after repeat: lastWarm=%v", st.LastWarm)
 	}
 	if st.LastSolver != SolverTransport {
 		t.Fatalf("LastSolver = %v", st.LastSolver)
@@ -107,9 +102,9 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	lcfResultsEqual(t, "cache-hit", cold, second)
 }
 
-// TestEpochStateMarketDeltaMisses: any market change flips the fingerprint,
-// so the result cache misses and the fresh solve matches a stateless one.
-// The GAP-level transport state still serves the changed reduction warm.
+// TestEpochStateMarketDeltaMisses: after any market change the warm solve
+// matches a stateless one; the transport state serves the changed
+// reduction by repairing its kept optimum.
 func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	m := genMarket(t, 19, 80, 45)
 	var st EpochSolveState
@@ -126,9 +121,6 @@ func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	warm, err := LCF(m, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.LCFHits != 0 || st.LCFMisses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 0/2 (fingerprint should have changed)", st.LCFHits, st.LCFMisses)
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 9, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {
@@ -151,8 +143,8 @@ func TestEpochStateMarketDeltaMisses(t *testing.T) {
 	lcfResultsEqual(t, "shrink", cold2, warm2)
 }
 
-// TestEpochStateOptionChangesMiss: every option in the key must
-// differentiate cache entries.
+// TestEpochStateOptionChangesMiss: a warm solve under any changed option
+// matches a cold solve under that option.
 func TestEpochStateOptionChangesMiss(t *testing.T) {
 	m := genMarket(t, 23, 80, 40)
 	base := LCFOptions{Xi: 0.5, Seed: 3, Appro: ApproOptions{Solver: SolverTransport}}
@@ -164,7 +156,7 @@ func TestEpochStateOptionChangesMiss(t *testing.T) {
 		{Xi: 0.5, Seed: 3, Reference: true, Appro: ApproOptions{Solver: SolverTransport}},
 		{Xi: 0.5, Seed: 3, Appro: ApproOptions{Solver: SolverTransport, CongestionBlind: true}},
 	}
-	for vi, v := range variants {
+	for _, v := range variants {
 		var st EpochSolveState
 		b := base
 		b.State = &st
@@ -175,9 +167,6 @@ func TestEpochStateOptionChangesMiss(t *testing.T) {
 		got, err := LCF(m, v)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if st.LCFHits != 0 {
-			t.Fatalf("variant %d: spurious result-cache hit", vi)
 		}
 		v.State = nil
 		cold, err := LCF(m, v)
@@ -221,9 +210,6 @@ func TestEpochStateInvalidate(t *testing.T) {
 	got, err := LCF(m, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.LCFHits != 0 || st.LCFMisses != 2 {
-		t.Fatalf("hits=%d misses=%d after invalidate, want 0/2", st.LCFHits, st.LCFMisses)
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 6, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {

@@ -233,8 +233,8 @@ type Simulator struct {
 	ls *game.LoadState
 
 	// solve carries the warm-start state across epochs: the kept optimum of
-	// the transport solve and the full LCF result of the previous epoch.
-	// Epoch outcomes are byte-identical with or without it.
+	// the transport solve. Epoch outcomes are byte-identical with or
+	// without it.
 	solve EpochSolveState
 
 	metrics      Metrics
@@ -552,8 +552,8 @@ type EpochStats struct {
 	// Solver names the GAP engine the inner Appro call used.
 	Solver string
 	// WarmStart reports whether the solve reused kept work from the epoch
-	// state (full-result hit, or a transport solve that found no delta or
-	// repaired the kept optimum). Always false without EpochOptions.State.
+	// state (a transport solve that found no delta or repaired the kept
+	// optimum). Always false without EpochOptions.State.
 	WarmStart bool
 	// Transport says how the epoch state served the transport solve
 	// ("hit", "repair" or "rebuild"), with the rows it added to and

@@ -13,7 +13,7 @@ import (
 // warm-started, incrementally re-rounded, sharded epoch solve: a sequence
 // of epochs over a churning market — provider appends and removals, failed
 // cloudlets, frozen providers, hysteresis on and off, and one exact repeat
-// to force the full-result cache tier — must produce placements and stats
+// to force the transport solve's no-delta hit — must produce placements and stats
 // bit-identical to a cold, serial, stateless Reequilibrate at every step,
 // across congestion models and worker widths 1 / 4 / NumCPU.
 func TestDifferentialWarmEpochs(t *testing.T) {
@@ -58,7 +58,7 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 			for epoch := uint64(0); epoch < 6; epoch++ {
 				// Churn the market between epochs 2-4; epoch 5 repeats
 				// epoch 4's options on an unchanged market so the warm
-				// streams serve it from the full-result cache.
+				// streams serve it from the transport solve's no-delta hit.
 				switch epoch {
 				case 2:
 					p := m.Providers[int(seed)%len(m.Providers)]
@@ -134,11 +134,6 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 				// Advance the shared placement so later epochs start from a
 				// realistic mid-stream profile.
 				pl = nextC
-			}
-			for wi, st := range states {
-				if st.LCFHits == 0 {
-					t.Fatalf("%s seed=%d workers=%d: full-result cache never hit across the sequence", mod.name, seed, widths[wi])
-				}
 			}
 		}
 	}

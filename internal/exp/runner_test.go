@@ -45,7 +45,7 @@ func testRunner(t *testing.T, stamp string) *Runner {
 
 // comboArtifacts is the uniform artifact set every executed combo leaves.
 var comboArtifacts = []string{
-	"config.json", "summary.json", "metrics.prom", "trace.json", "spans.json", "mecd.log", "mecload.log",
+	"config.json", "summary.json", "metrics.prom", "spans.json", "mecd.log", "mecload.log",
 }
 
 func readSummary(t *testing.T, path string) ([]byte, Summary) {

@@ -74,8 +74,8 @@ type marketView struct {
 
 // scrapeDaemon archives the daemon's observable state: the raw /metrics
 // exposition (validated by the strict parser, histogram invariants
-// included) to metrics.prom, the last decision traces to trace.json, and
-// the per-tenant market documents — hashed, so the deterministic summary
+// included) to metrics.prom, the lifecycle spans to spans.json, and the
+// per-tenant market documents — hashed, so the deterministic summary
 // pins every placement without storing them all.
 func scrapeDaemon(url string, p Plan, comboDir string) (scrapeResult, error) {
 	var res scrapeResult
@@ -117,18 +117,6 @@ func scrapeDaemon(url string, p Plan, comboDir string) (scrapeResult, error) {
 			}
 			res.metricSums[key] += s.Value
 		}
-	}
-
-	traces := map[string]json.RawMessage{}
-	for k := 0; k < p.Combo.Tenants; k++ {
-		doc, err := fetchRaw(apiBase(url, p.Combo.Tenants, k) + "/debug/trace?n=64")
-		if err != nil {
-			return res, fmt.Errorf("scrape trace: %w", err)
-		}
-		traces[tenantID(p.Combo.Tenants, k)] = json.RawMessage(doc)
-	}
-	if err := writeJSONAtomic(filepath.Join(comboDir, "trace.json"), traces); err != nil {
-		return res, err
 	}
 
 	// Lifecycle spans, one document per tenant. Span timings are wall clock

@@ -1,29 +1,28 @@
 // Package obs is the observability layer: decision tracing for the
-// equilibrium algorithms, structured-logging helpers, and build identity.
+// equilibrium algorithms, lifecycle spans, structured-logging helpers, and
+// build identity.
 //
-// The central abstraction is Tracer, a sink for the per-iteration decision
-// events the algorithms emit — every candidate a best response priced
-// (with the Eq. 3 cost terms broken out), every strategy change, every
-// round of dynamics, every hysteresis suppression. A nil Tracer disables
-// tracing entirely: call sites guard every emission behind a nil check, so
-// the disabled path costs one branch and zero allocations, and fixed-seed
-// runs are byte-identical with tracing on or off (tracing only observes,
-// it never draws randomness or mutates state).
+// Tracer is a sink for the per-iteration decision events the algorithms
+// emit — every candidate a best response priced (with the Eq. 3 cost terms
+// broken out), every strategy change, every round of dynamics, every
+// hysteresis suppression. A nil Tracer disables tracing entirely: call
+// sites guard every emission behind a nil check, so the disabled path costs
+// one branch and zero allocations, and fixed-seed runs are byte-identical
+// with tracing on or off (tracing only observes, it never draws randomness
+// or mutates state). Recorder keeps a capped event stream for offline
+// callers; Decision condenses one best response into span attributes.
 //
-// Completed decisions are packaged as Trace values and retained in a
-// bounded Ring, which the serving daemon exposes as GET /v1/debug/trace.
-//
-// The lifecycle dimension is the Span/SpanRing pair (span.go): where the
-// decision trace answers "why this cloudlet", spans answer "where the time
-// went" — queue wait, WAL append and fsync, the equilibrium scan, view
-// publish — correlated across processes by W3C traceparent trace IDs and
-// served as GET /v1/debug/spans.
+// The serving daemon's one flight recorder is the Span/SpanRing pair
+// (span.go): a request carrying a W3C traceparent header decomposes into
+// timed child spans — queue wait, WAL append and fsync, apply, the
+// equilibrium scan, view publish — correlated across processes by trace
+// ID and served as GET /v1/debug/spans. An admission's best_response span
+// carries its Decision; an epoch's epoch_solve span carries its outcome.
 package obs
 
 import (
 	"fmt"
-	"sync"
-	"time"
+	"math"
 
 	"mecache/internal/mec"
 )
@@ -147,126 +146,92 @@ func (r *Recorder) Emit(e Event) {
 	r.events = append(r.events, e)
 }
 
-// Events returns the recorded events (the recorder's own slice; callers
-// hand it off to a Trace and stop using the recorder).
+// Events returns the recorded events (the recorder's own slice, not a
+// copy).
 func (r *Recorder) Events() []Event { return r.events }
 
 // Dropped counts events discarded beyond the limit.
 func (r *Recorder) Dropped() int { return r.dropped }
 
-// Trace is one completed decision: an online admission's best response, an
-// epoch re-equilibration, or a crash-recovery replay, with its recorded
-// event stream.
-type Trace struct {
-	// ID is assigned by the Ring: a monotone sequence over all traces.
-	ID   uint64 `json:"id"`
-	Kind string `json:"kind"` // "admission", "epoch", or "recovery"
-	// Start and Duration time the decision (wall clock; informational
-	// only, never fed back into any algorithm).
-	Start    time.Time `json:"start"`
-	Duration float64   `json:"durationSeconds"`
-	// Provider is the public id of the admitted provider (-1 for epochs).
-	Provider int64 `json:"provider"`
-	// Chosen is the admitted provider's strategy (mec.Remote for remote;
-	// meaningless for epochs).
-	Chosen int `json:"chosen"`
-	// Cost is the chosen strategy's cost at decision time.
-	Cost float64 `json:"cost"`
-	// SocialCost is Eq. 6 after the decision.
-	SocialCost float64 `json:"socialCost"`
-	// Epoch numbers the re-equilibration (0 for admissions).
-	Epoch uint64 `json:"epoch"`
-	// Rounds is the best-response convergence iteration count (epochs).
-	Rounds int `json:"rounds"`
-	// Reconfigurations and Suppressed summarize an epoch's churn.
-	Reconfigurations int `json:"reconfigurations"`
-	Suppressed       int `json:"suppressed"`
-	// Records counts WAL records replayed by a recovery trace (0 for
-	// admissions and epochs).
-	Records int `json:"records,omitempty"`
-	// Events is the recorded decision stream; EventsDropped counts events
-	// beyond the recorder's cap.
-	Events        []Event `json:"events"`
-	EventsDropped int     `json:"eventsDropped"`
+// Decision is a Tracer that condenses one best-response scan into what its
+// span carries: the chosen strategy and, for the winner and the runner-up,
+// the Eq. 3 components with their total. The runner-up is the cheapest
+// candidate other than the winner, ranking by total with exact ties broken
+// by strategy index (remote, -1, first) — the scan's own order. Candidates
+// with a non-finite total are skipped: they never win a finite scan, and
+// JSON cannot carry them. The zero value is ready; one Decision records
+// one scan.
+type Decision struct {
+	choice Event
+	chosen bool
+	// top holds the two cheapest candidates seen, cheapest first; n counts
+	// how many of its slots are filled.
+	top [2]Event
+	n   int
 }
 
-// Ring retains the last-N completed traces. It is safe for concurrent use
-// (one writer, many readers). A nil Ring, or one with no capacity, is
-// disabled: Add is a no-op and Snapshot returns nothing.
-type Ring struct {
-	mu  sync.Mutex
-	cap int
-	buf []Trace // chronological; oldest first once full
-	seq uint64  // total traces ever added
-}
-
-// NewRing returns a ring holding the last `capacity` traces; capacity <= 0
-// returns a disabled ring.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		return &Ring{}
+// Emit implements Tracer.
+func (d *Decision) Emit(e Event) {
+	switch e.Kind {
+	case KindChoice:
+		d.choice, d.chosen = e, true
+	case KindCandidate:
+		if !isFinite(e.Total) {
+			return
+		}
+		switch {
+		case d.n == 0 || cheaper(e, d.top[0]):
+			d.top[1], d.top[0] = d.top[0], e
+		case d.n == 1 || cheaper(e, d.top[1]):
+			d.top[1] = e
+		default:
+			return
+		}
+		if d.n < 2 {
+			d.n++
+		}
 	}
-	return &Ring{cap: capacity}
 }
 
-// Enabled reports whether the ring retains traces.
-func (r *Ring) Enabled() bool { return r != nil && r.cap > 0 }
-
-// Cap returns the ring's retention capacity (0 when disabled), so callers
-// can report how many traces a snapshot could at most return.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.cap
+func cheaper(a, b Event) bool {
+	return a.Total < b.Total || (a.Total == b.Total && a.Strategy < b.Strategy)
 }
 
-// Total returns how many traces have ever been added (retained or not).
-func (r *Ring) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Add assigns the trace its sequence ID and retains it, evicting the
-// oldest beyond capacity. Returns the assigned ID (0 when disabled).
-func (r *Ring) Add(t Trace) uint64 {
-	if !r.Enabled() {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	t.ID = r.seq
-	if len(r.buf) == r.cap {
-		copy(r.buf, r.buf[1:])
-		r.buf[len(r.buf)-1] = t
-	} else {
-		r.buf = append(r.buf, t)
-	}
-	return t.ID
-}
-
-// Snapshot returns up to n retained traces, newest first, optionally
-// filtered by kind ("" keeps all). n <= 0 means every retained trace.
-func (r *Ring) Snapshot(n int, kind string) []Trace {
-	if !r.Enabled() {
+// Attrs returns the decision's span attributes: "placement" (the chosen
+// strategy), then "winner.<term>" and "winner.total", then "runner_up",
+// "runner_up.<term>" and "runner_up.total" when the scan had a second
+// finite candidate. Terms are congestion, instantiation, bandwidth,
+// processing, transmission and update; each total is the bit-exact sum
+// mec.CostBreakdown.Total gives. It returns nothing before a choice.
+func (d *Decision) Attrs() []Attr {
+	if !d.chosen {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Trace, 0, len(r.buf))
-	for i := len(r.buf) - 1; i >= 0; i-- {
-		if kind != "" && r.buf[i].Kind != kind {
-			continue
-		}
-		out = append(out, r.buf[i])
-		if n > 0 && len(out) == n {
-			break
+	dst := make([]Attr, 0, 2+2*7)
+	dst = append(dst, Int64("placement", int64(d.choice.Strategy)))
+	if isFinite(d.choice.Total) {
+		dst = costAttrs(dst, "winner", d.choice)
+	}
+	for _, e := range d.top[:d.n] {
+		if e.Strategy != d.choice.Strategy {
+			dst = append(dst, Int64("runner_up", int64(e.Strategy)))
+			return costAttrs(dst, "runner_up", e)
 		}
 	}
-	return out
+	return dst
+}
+
+func isFinite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+func costAttrs(dst []Attr, prefix string, e Event) []Attr {
+	c := e.Cost
+	return append(dst,
+		Float64(prefix+".congestion", c.Congestion),
+		Float64(prefix+".instantiation", c.Instantiation),
+		Float64(prefix+".bandwidth", c.Bandwidth),
+		Float64(prefix+".processing", c.Processing),
+		Float64(prefix+".transmission", c.Transmission),
+		Float64(prefix+".update", c.Update),
+		Float64(prefix+".total", e.Total),
+	)
 }

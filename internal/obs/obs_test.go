@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,50 +34,53 @@ func TestRecorderDefaultLimit(t *testing.T) {
 	}
 }
 
-func TestRingEvictsOldestAndFilters(t *testing.T) {
-	r := NewRing(2)
-	if !r.Enabled() {
-		t.Fatal("ring with capacity should be enabled")
+// TestDecisionKeepsWinnerAndRunnerUp feeds a scan's events out of cost
+// order and checks the span attrs name the choice, the cheapest other
+// candidate (an exact tie resolving to the lower index), and each one's
+// components next to its total.
+func TestDecisionKeepsWinnerAndRunnerUp(t *testing.T) {
+	cand := func(s int, total float64) Event {
+		return Event{Kind: KindCandidate, Strategy: s, Total: total,
+			Cost: mec.CostBreakdown{Processing: total}}
 	}
-	r.Add(Trace{Kind: "admission", Provider: 1})
-	r.Add(Trace{Kind: "epoch", Epoch: 1})
-	id := r.Add(Trace{Kind: "admission", Provider: 3})
-	if id != 3 {
-		t.Fatalf("third trace got id %d, want 3", id)
+	var d Decision
+	if got := d.Attrs(); len(got) != 0 {
+		t.Fatalf("attrs before a choice: %+v", got)
 	}
-	if r.Total() != 3 {
-		t.Fatalf("total = %d, want 3", r.Total())
+	for _, e := range []Event{
+		cand(mec.Remote, 9), cand(4, 7), cand(2, 3), cand(6, 5), cand(1, 5),
+		cand(3, math.Inf(1)),
+	} {
+		d.Emit(e)
 	}
-	all := r.Snapshot(0, "")
-	if len(all) != 2 {
-		t.Fatalf("retained %d traces, want 2", len(all))
+	choice := cand(2, 3)
+	choice.Kind = KindChoice
+	d.Emit(choice)
+	got := map[string]any{}
+	for _, a := range d.Attrs() {
+		got[a.Key] = a.Value()
 	}
-	// Newest first.
-	if all[0].ID != 3 || all[1].ID != 2 {
-		t.Fatalf("snapshot order wrong: ids %d, %d", all[0].ID, all[1].ID)
+	want := map[string]any{
+		"placement": int64(2), "winner.total": 3.0, "winner.processing": 3.0,
+		"runner_up": int64(1), "runner_up.total": 5.0, "runner_up.processing": 5.0,
+		"runner_up.congestion": 0.0,
 	}
-	adm := r.Snapshot(5, "admission")
-	if len(adm) != 1 || adm[0].Provider != 3 {
-		t.Fatalf("kind filter wrong: %+v", adm)
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("attr %s = %v, want %v (all: %v)", k, got[k], v, got)
+		}
 	}
-	if got := r.Snapshot(1, ""); len(got) != 1 || got[0].ID != 3 {
-		t.Fatalf("n limit wrong: %+v", got)
+	if len(got) != 1+2*7+1 {
+		t.Fatalf("got %d attrs, want 16: %v", len(got), got)
 	}
-}
 
-func TestDisabledRingIsInert(t *testing.T) {
-	for _, r := range []*Ring{nil, NewRing(0), NewRing(-1)} {
-		if r.Enabled() {
-			t.Fatal("disabled ring reports enabled")
-		}
-		if id := r.Add(Trace{Kind: "admission"}); id != 0 {
-			t.Fatalf("disabled Add returned id %d", id)
-		}
-		if got := r.Snapshot(10, ""); got != nil {
-			t.Fatalf("disabled Snapshot returned %+v", got)
-		}
-		if r.Total() != 0 {
-			t.Fatal("disabled ring counted traces")
+	// A scan with one finite candidate has no runner-up.
+	var lone Decision
+	lone.Emit(cand(mec.Remote, 2))
+	lone.Emit(Event{Kind: KindChoice, Strategy: mec.Remote, Total: 2})
+	for _, a := range lone.Attrs() {
+		if strings.HasPrefix(a.Key, "runner_up") {
+			t.Fatalf("lone candidate produced %s", a.Key)
 		}
 	}
 }

@@ -183,21 +183,56 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceparentRejectsMalformed(t *testing.T) {
+// malformedTraceparents are header values ParseTraceparent must reject;
+// they also seed FuzzParseTraceparent.
+func malformedTraceparents() []string {
 	valid := FormatTraceparent(MintTraceID(1, 2), 3)
-	bad := []string{
+	return []string{
 		"",
 		"garbage",
-		valid[:len(valid)-1],                    // truncated
-		"01" + valid[2:],                        // unknown version
-		strings.Replace(valid, "-", "_", 1),     // wrong separator
-		"00-" + strings.Repeat("0", 32) + "-0000000000000001-01", // all-zero trace
-		"00-" + MintTraceID(1, 2) + "-0000000000000000-01",       // all-zero parent
+		valid[:len(valid)-1],                // truncated
+		"01" + valid[2:],                    // unknown version
+		strings.Replace(valid, "-", "_", 1), // wrong separator
+		"00-" + strings.Repeat("0", 32) + "-0000000000000001-01",              // all-zero trace
+		"00-" + MintTraceID(1, 2) + "-0000000000000000-01",                    // all-zero parent
 		"00-" + strings.ToUpper(MintTraceID(10, 11)) + "-0000000000000001-01", // uppercase hex
 	}
-	for _, h := range bad {
+}
+
+func TestTraceparentRejectsMalformed(t *testing.T) {
+	for _, h := range malformedTraceparents() {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent holds the parser to its contract on arbitrary
+// input: it never panics, and an accepted header yields a 32-character
+// lowercase-hex trace ID and a 16-character parent ID, neither all zero,
+// that reassemble into exactly the input. The daemon records a span (and
+// so a decision) only for headers this parser accepts.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(FormatTraceparent(MintTraceID(1, 2), 3))
+	for _, h := range malformedTraceparents() {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		trace, parent, ok := ParseTraceparent(h)
+		if !ok {
+			if trace != "" || parent != "" {
+				t.Fatalf("rejected %q but returned %q, %q", h, trace, parent)
+			}
+			return
+		}
+		if len(trace) != 32 || !isHex(trace) || allZero(trace) {
+			t.Fatalf("accepted %q with trace ID %q", h, trace)
+		}
+		if len(parent) != 16 || !isHex(parent) || allZero(parent) {
+			t.Fatalf("accepted %q with parent ID %q", h, parent)
+		}
+		if again := "00-" + trace + "-" + parent + "-" + h[len(h)-2:]; again != h {
+			t.Fatalf("fields of %q reassemble to %q", h, again)
+		}
+	})
 }

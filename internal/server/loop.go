@@ -60,8 +60,8 @@ type state struct {
 	lastEpochErr string
 
 	// solve carries the warm-start state across this market's epochs (the
-	// kept transport optimum, last LCF result). Loop-owned like everything
-	// else here; epoch outcomes are byte-identical with or without it.
+	// kept transport optimum). Loop-owned like everything else here; epoch
+	// outcomes are byte-identical with or without it.
 	solve dynamic.EpochSolveState
 }
 
@@ -442,32 +442,29 @@ func (s *Server) admitCmd(st *state, p mec.Provider) cmdResult {
 		idx = i
 		st.pl = append(st.pl, mec.Remote)
 	}
-	// The traced and untraced scans are the same algorithm — tracing only
-	// records what the scan already computes — so enabling the ring never
-	// changes a placement.
-	// During WAL replay the ring stays quiet: recovery re-runs old
-	// decisions, and re-tracing them would flood the ring with stale
-	// entries (the traced and untraced scans place identically anyway).
-	var rec *obs.Recorder
-	started := time.Now()
-	if s.ring.Enabled() && !s.recovering {
-		rec = obs.NewRecorder(0)
-	}
 	// The equilibrium scan is the admission's hot core; a traced command
-	// (curTrace set by execCommand) gets it as a child of the apply span.
-	// Untraced admissions pay one string comparison — nothing is allocated,
-	// which is what the alloc benchmarks assert.
-	spanOn := s.curTrace != ""
-	var brStart time.Time
-	if spanOn {
+	// (curTrace set by execCommand) gets it as a child of the apply span,
+	// with the decision as attrs. The traced scan is the same algorithm —
+	// it only records what the scan computes — so tracing never changes a
+	// placement. Untraced admissions pay one string comparison and a nil
+	// Tracer: nothing is allocated, which is what the alloc benchmarks
+	// assert.
+	var (
+		dec     *obs.Decision
+		tr      obs.Tracer
+		brStart time.Time
+	)
+	if s.curTrace != "" {
+		dec = new(obs.Decision)
+		tr = dec
 		brStart = time.Now()
 	}
-	st.setPl(idx, dynamic.BestResponseWithLoads(st.ls, st.pl, idx, st.failed, tracer(rec)))
-	if spanOn {
+	st.setPl(idx, dynamic.BestResponseWithLoads(st.ls, st.pl, idx, st.failed, tr))
+	if dec != nil {
 		s.recordSpan(obs.Span{
 			Parent: s.curParent, Trace: s.curTrace, Stage: obs.StageBestResponse,
 			Start: brStart, Duration: time.Since(brStart).Seconds(),
-			Attrs: []obs.Attr{obs.Int64("placement", int64(st.pl[idx]))},
+			Attrs: dec.Attrs(),
 		})
 	}
 	id := st.nextID
@@ -485,30 +482,7 @@ func (s *Server) admitCmd(st *state, p mec.Provider) cmdResult {
 		SocialCost: st.m.SocialCost(st.pl),
 		Active:     len(st.ids),
 	}
-	if rec != nil {
-		s.ring.Add(obs.Trace{
-			Kind:          "admission",
-			Start:         started,
-			Duration:      time.Since(started).Seconds(),
-			Provider:      id,
-			Chosen:        resp.Placement,
-			Cost:          resp.Cost,
-			SocialCost:    resp.SocialCost,
-			Events:        rec.Events(),
-			EventsDropped: rec.Dropped(),
-		})
-	}
 	return cmdResult{status: http.StatusCreated, body: resp}
-}
-
-// tracer converts a possibly-nil *Recorder into the Tracer the algorithms
-// accept, avoiding the classic typed-nil-in-interface trap: a nil *Recorder
-// stored in an obs.Tracer would compare non-nil at the emission guards.
-func tracer(rec *obs.Recorder) obs.Tracer {
-	if rec == nil {
-		return nil
-	}
-	return rec
 }
 
 // departCmd retires a provider: its cached instance is destroyed and the
@@ -632,11 +606,6 @@ func (s *Server) epochCmd(st *state) cmdResult {
 	if st.m == nil {
 		return cmdResult{status: http.StatusOK, body: map[string]any{"epoch": st.epochs, "active": 0}}
 	}
-	var rec *obs.Recorder
-	started := time.Now()
-	if s.ring.Enabled() && !s.recovering {
-		rec = obs.NewRecorder(0)
-	}
 	spanOn := s.curTrace != ""
 	var epochStart, solveStart time.Time
 	if spanOn {
@@ -649,7 +618,6 @@ func (s *Server) epochCmd(st *state) cmdResult {
 		MigrationAware: s.cfg.MigrationAware,
 		Frozen:         st.waiting,
 		Failed:         st.failed,
-		Trace:          tracer(rec),
 		State:          &st.solve,
 		Workers:        s.cfg.EpochWorkers,
 	})
@@ -673,6 +641,8 @@ func (s *Server) epochCmd(st *state) cmdResult {
 				obs.Int64("rows_added", int64(est.TransportAdded)),
 				obs.Int64("rows_removed", int64(est.TransportRemoved)),
 				obs.Int64("shards", int64(est.Shards)),
+				obs.Int64("suppressed", int64(est.MigrationsSuppressed)),
+				obs.Float64("social_cost", est.SocialCost),
 			},
 		})
 	}
@@ -685,21 +655,8 @@ func (s *Server) epochCmd(st *state) cmdResult {
 	s.mReconfigs.Add(float64(est.Reconfigurations))
 	s.hLCFRounds.Observe(float64(est.Rounds))
 	s.hEpochMigr.Observe(float64(est.Reconfigurations))
-	if rec != nil {
-		s.ring.Add(obs.Trace{
-			Kind:             "epoch",
-			Start:            started,
-			Duration:         time.Since(started).Seconds(),
-			Provider:         -1,
-			Chosen:           mec.Remote,
-			SocialCost:       est.SocialCost,
-			Epoch:            st.epochs,
-			Rounds:           est.Rounds,
-			Reconfigurations: est.Reconfigurations,
-			Suppressed:       est.MigrationsSuppressed,
-			Events:           rec.Events(),
-			EventsDropped:    rec.Dropped(),
-		})
+	if c := s.mSolves[est.Transport]; c != nil {
+		c.Inc()
 	}
 	if !s.recovering {
 		s.log.Info("epoch complete",

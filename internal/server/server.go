@@ -79,19 +79,16 @@ type Config struct {
 	// lines, epoch and snapshot failures). Nil discards everything, keeping
 	// embedded and test use silent.
 	Logger *slog.Logger
-	// TraceDepth is how many completed decision traces (admissions and
-	// epochs) the daemon retains for GET /v1/debug/trace. 0 disables
-	// decision tracing entirely — admissions then run the untraced
-	// best-response scan. Negative is invalid.
+	// TraceDepth is how many completed lifecycle spans the daemon retains
+	// for GET /v1/debug/spans — the daemon's one flight recorder. A request
+	// carrying a valid W3C traceparent header is decomposed into
+	// queue-wait, WAL-append, WAL-fsync, apply, and view-publish child spans
+	// under one root, all sharing the header's trace ID; a traced
+	// admission's best_response span also carries its decision (see
+	// obs.Decision). Requests without the header are never recorded. 0
+	// disables tracing entirely — traceparent headers are then ignored and
+	// the command path stays allocation-free. Negative is invalid.
 	TraceDepth int
-	// SpanDepth is how many completed lifecycle spans the daemon retains
-	// for GET /v1/debug/spans. A request carrying a W3C traceparent header
-	// is decomposed into queue-wait, WAL-append, WAL-fsync, apply, and
-	// view-publish child spans under one root, all sharing the header's
-	// trace ID. 0 disables span tracing entirely — traceparent headers are
-	// then ignored and the command path stays allocation-free. Negative is
-	// invalid.
-	SpanDepth int
 	// WALDir, when non-empty, enables the write-ahead log: every mutating
 	// command is logged (and fsynced per WALSync) before it applies, and
 	// startup replays the log tail over the restored snapshot, so a crash
@@ -145,8 +142,7 @@ func DefaultConfig(seed uint64) Config {
 		Workload:   workload.Default(seed),
 		Xi:         0.7,
 		Policy:     fault.PolicyRemoteFallback,
-		TraceDepth: 64,
-		SpanDepth:  256,
+		TraceDepth: 256,
 	}
 }
 
@@ -169,9 +165,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.TraceDepth < 0 {
 		return fmt.Errorf("server: negative TraceDepth %d", cfg.TraceDepth)
-	}
-	if cfg.SpanDepth < 0 {
-		return fmt.Errorf("server: negative SpanDepth %d", cfg.SpanDepth)
 	}
 	if cfg.QueueDepth < 0 {
 		return fmt.Errorf("server: negative QueueDepth %d", cfg.QueueDepth)
@@ -253,8 +246,8 @@ type Server struct {
 	started  atomic.Bool
 
 	// wal is the command log (nil without WALDir); recovering is true only
-	// during the constructor's replay, gating snapshot writes and tracing
-	// inside the replayed command functions.
+	// during the constructor's replay, gating snapshot writes and the epoch
+	// log line inside the replayed command functions.
 	wal        *wal.Log
 	recovering bool
 
@@ -262,7 +255,6 @@ type Server struct {
 	mux  *http.ServeMux
 
 	log   *slog.Logger
-	ring  *obs.Ring
 	reqID atomic.Uint64
 
 	// spans is the lifecycle-span ring behind GET /v1/debug/spans; spanSeq
@@ -300,6 +292,9 @@ type Server struct {
 	mReconfigs *metrics.Counter
 	mEpochErrs *metrics.Counter
 	mSnapErrs  *metrics.Counter
+	// mSolves counts epoch transport solves by how the kept optimum served
+	// them, keyed by dynamic.EpochStats.Transport.
+	mSolves    map[string]*metrics.Counter
 	mLatency   *metrics.Histogram
 	hLCFRounds *metrics.Histogram
 	hEpochMigr *metrics.Histogram
@@ -358,8 +353,7 @@ func New(cfg Config) (*Server, error) {
 		done:     make(chan struct{}),
 		reg:      cfg.Metrics,
 		log:      cfg.Logger,
-		ring:     obs.NewRing(cfg.TraceDepth),
-		spans:    obs.NewSpanRing(cfg.SpanDepth),
+		spans:    obs.NewSpanRing(cfg.TraceDepth),
 	}
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
@@ -412,6 +406,11 @@ func (s *Server) registerMetrics() {
 	s.mReconfigs = s.reg.Counter("mecd_reconfigurations_total", "Placement changes applied by epochs.", s.labels()...)
 	s.mEpochErrs = s.reg.Counter("mecd_epoch_errors_total", "Background and snapshot-time epoch failures.", s.labels()...)
 	s.mSnapErrs = s.reg.Counter("mecd_snapshot_errors_total", "Snapshot write failures.", s.labels()...)
+	s.mSolves = make(map[string]*metrics.Counter, 3)
+	for _, kind := range []string{"hit", "repair", "rebuild"} {
+		s.mSolves[kind] = s.reg.Counter("mecd_epoch_solves_total",
+			"Epoch transport solves by how the kept optimum served them.", s.labels("transport", kind)...)
+	}
 	s.mLatency = s.reg.Histogram("mecd_admission_seconds", "End-to-end admission latency.", stats.LatencyBuckets(), s.labels()...)
 	s.hLCFRounds = s.reg.Histogram("mecd_epoch_lcf_rounds", "Best-response convergence rounds per epoch.",
 		[]float64{1, 2, 3, 5, 8, 13, 21, 34, 55}, s.labels()...)
@@ -598,7 +597,6 @@ func (s *Server) buildMux() {
 	route("DELETE /v1/providers/{id}", s.handleDepart)
 	route("GET /v1/placements", s.handlePlacements)
 	route("GET /v1/market", s.handleMarket)
-	route("GET /v1/debug/trace", s.handleTrace)
 	route("GET /v1/debug/spans", s.handleSpans)
 	route("POST /v1/admin/fail", s.handleFail)
 	route("POST /v1/admin/epoch", s.handleEpoch)
@@ -738,7 +736,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		}
 		args := []any{
 			"reqID", id, "route", pattern, "method", r.Method, "path", r.URL.Path,
-			"status", sw.status, "durationMs", float64(elapsed.Microseconds())/1000,
+			"status", sw.status, "durationMs", float64(elapsed.Microseconds()) / 1000,
 		}
 		if tc != nil {
 			args = append(args, "trace", tc.trace)
@@ -747,54 +745,13 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// handleTrace serves the last-N decision traces, newest first. Query
-// parameters: n caps the count (default 16), kind filters by trace kind
-// ("admission" or "epoch").
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.ring.Enabled() {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "traces": []obs.Trace{}})
-		return
-	}
-	n := 16
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad n: " + q})
-			return
-		}
-		n = v
-	}
-	kind := r.URL.Query().Get("kind")
-	switch kind {
-	case "", "admission", "epoch", "recovery":
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad kind: " + kind})
-		return
-	}
-	traces := s.ring.Snapshot(n, kind)
-	if traces == nil {
-		traces = []obs.Trace{}
-	}
-	// count and capacity expose the clamp: asking for n beyond the ring's
-	// retention silently returns fewer traces, so the envelope states how
-	// many actually came back and how many the ring could at most hold,
-	// while total is the high-water sequence (traces ever added).
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":  true,
-		"count":    len(traces),
-		"capacity": s.ring.Cap(),
-		"total":    s.ring.Total(),
-		"traces":   traces,
-	})
-}
-
 // handleSpans serves the last-N completed lifecycle spans, newest-started
 // first. Query parameters: n caps the count (default 64; 0 means every
 // retained span), trace keeps only one trace ID, min_dur keeps spans at
-// least that many seconds long. The envelope mirrors /v1/debug/trace:
-// count is the effective size after clamping and filtering, capacity the
-// ring's retention, highWater the last span ID ever started, recorded the
-// completed-span total.
+// least that many seconds long. In the envelope, count is the effective
+// size after clamping and filtering, capacity the ring's retention,
+// highWater the last span ID ever started, recorded the completed-span
+// total — so a client can tell "clamped" from "that is all there was".
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if !s.spans.Enabled() {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "spans": []obs.Span{}})

@@ -604,6 +604,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestEpochSolvesCounter checks mecd_epoch_solves_total counts how each
+// epoch's transport solve was served, untraced: the first epoch builds the
+// solver (rebuild), an epoch straight after it finds no delta (hit), and
+// an epoch after an admission repairs the kept optimum or rebuilds it.
+func TestEpochSolvesCounter(t *testing.T) {
+	cfg := testConfig(52)
+	s, ts := startServer(t, cfg)
+	for i := 0; i < 5; i++ {
+		admit(t, ts, drawProvider(cfg, s.View(), 52, i))
+	}
+	solves := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		for _, kind := range []string{"hit", "repair", "rebuild"} {
+			prefix := `mecd_epoch_solves_total{transport="` + kind + `"} `
+			for _, line := range strings.Split(fetchMetrics(t, ts.URL), "\n") {
+				if strings.HasPrefix(line, prefix) {
+					out[kind] = strings.TrimPrefix(line, prefix)
+				}
+			}
+		}
+		return out
+	}
+	if got := solves(); got["hit"] != "0" || got["repair"] != "0" || got["rebuild"] != "0" {
+		t.Fatalf("before any epoch: %v, want every kind registered at 0", got)
+	}
+	epoch := func() {
+		t.Helper()
+		if resp, data := postJSON(t, ts.URL+"/v1/admin/epoch", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("epoch: %d %s", resp.StatusCode, data)
+		}
+	}
+	epoch()
+	if got := solves(); got["rebuild"] != "1" || got["hit"] != "0" || got["repair"] != "0" {
+		t.Fatalf("after the first epoch: %v, want one rebuild", got)
+	}
+	epoch()
+	if got := solves(); got["rebuild"] != "1" || got["hit"] != "1" || got["repair"] != "0" {
+		t.Fatalf("after an unchanged epoch: %v, want one rebuild and one hit", got)
+	}
+	admit(t, ts, drawProvider(cfg, s.View(), 52, 5))
+	epoch()
+	if got := solves(); got["hit"] != "1" || (got["repair"] != "1" && got["rebuild"] != "2") {
+		t.Fatalf("after an admission and an epoch: %v, want a repair or a second rebuild", got)
+	}
+}
+
 // TestWorkloadConfigUnused ensures the daemon ignores NumProviders in its
 // workload config (providers come from the API).
 func TestWorkloadConfigUnused(t *testing.T) {

@@ -252,7 +252,7 @@ func TestSpanLogCorrelation(t *testing.T) {
 func TestSpansOffPlacementsIdentical(t *testing.T) {
 	run := func(depth int) []byte {
 		cfg := testConfig(43)
-		cfg.SpanDepth = depth
+		cfg.TraceDepth = depth
 		_, ts := startServer(t, cfg)
 		var v View
 		getJSON(t, ts.URL+"/v1/market", &v)
@@ -316,8 +316,8 @@ func TestSpansEndpointFiltersAndValidation(t *testing.T) {
 			t.Fatalf("trace filter leaked span of trace %s", sp.Trace)
 		}
 	}
-	if sr.Count != len(sr.Spans) || sr.Capacity != cfg.SpanDepth {
-		t.Fatalf("envelope count=%d capacity=%d, want %d/%d", sr.Count, sr.Capacity, len(sr.Spans), cfg.SpanDepth)
+	if sr.Count != len(sr.Spans) || sr.Capacity != cfg.TraceDepth {
+		t.Fatalf("envelope count=%d capacity=%d, want %d/%d", sr.Count, sr.Capacity, len(sr.Spans), cfg.TraceDepth)
 	}
 	if sr.HighWater == 0 || sr.Recorded == 0 {
 		t.Fatalf("envelope highWater=%d recorded=%d, want both positive", sr.HighWater, sr.Recorded)
@@ -348,7 +348,7 @@ func TestSpansEndpointFiltersAndValidation(t *testing.T) {
 	}
 
 	cfgOff := testConfig(45)
-	cfgOff.SpanDepth = 0
+	cfgOff.TraceDepth = 0
 	_, tsOff := startServer(t, cfgOff)
 	var off spansResponse
 	getJSON(t, tsOff.URL+"/v1/debug/spans", &off)
@@ -358,10 +358,10 @@ func TestSpansEndpointFiltersAndValidation(t *testing.T) {
 }
 
 // TestTraceEnvelopeReportsCountAndCapacity is the regression for the
-// /v1/debug/trace pagination gap: asking for more traces than the ring
-// retains used to come back silently short — the envelope now states the
-// effective count, the ring capacity, and the high-water total, so a
-// client can tell "clamped" from "that is all there ever was".
+// pagination gap: asking for more spans than the recorder retains comes
+// back short, so the envelope states the effective count, the capacity,
+// and the recorded total — a client can tell "clamped" from "that is all
+// there ever was".
 func TestTraceEnvelopeReportsCountAndCapacity(t *testing.T) {
 	cfg := testConfig(46)
 	cfg.TraceDepth = 3
@@ -369,22 +369,21 @@ func TestTraceEnvelopeReportsCountAndCapacity(t *testing.T) {
 	var v View
 	getJSON(t, ts.URL+"/v1/market", &v)
 	for i := 0; i < 5; i++ {
-		admit(t, ts, drawProvider(cfg, &v, 46, i))
+		resp, data := postTraced(t, ts.URL+"/v1/providers",
+			obs.FormatTraceparent(obs.MintTraceID(46, uint64(i)), 1), drawProvider(cfg, &v, 46, i))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("admit %d: %d %s", i, resp.StatusCode, data)
+		}
 	}
-
-	var tr struct {
-		Enabled  bool            `json:"enabled"`
-		Count    int             `json:"count"`
-		Capacity int             `json:"capacity"`
-		Total    uint64          `json:"total"`
-		Traces   json.RawMessage `json:"traces"`
+	var sr spansResponse
+	getJSON(t, ts.URL+"/v1/debug/spans?n=10", &sr)
+	if sr.Count != 3 || sr.Capacity != 3 || len(sr.Spans) != 3 {
+		t.Fatalf("count=%d capacity=%d after 5 traced admissions into depth 3, want 3/3", sr.Count, sr.Capacity)
 	}
-	getJSON(t, ts.URL+"/v1/debug/trace?n=10", &tr)
-	if tr.Count != 3 || tr.Capacity != 3 {
-		t.Fatalf("count=%d capacity=%d after 5 admissions into depth 3, want 3/3", tr.Count, tr.Capacity)
-	}
-	if tr.Total != 5 {
-		t.Fatalf("total=%d, want the high-water 5", tr.Total)
+	// Every traced admission records a request root plus at least its
+	// queue-wait, apply, best-response and publish children.
+	if sr.Recorded < 5*5 || sr.HighWater < sr.Recorded {
+		t.Fatalf("recorded=%d highWater=%d, want the totals of 5 traced admissions", sr.Recorded, sr.HighWater)
 	}
 }
 
@@ -396,7 +395,7 @@ func TestTraceEnvelopeReportsCountAndCapacity(t *testing.T) {
 // merely unsampled.
 func TestUntracedSpanGuardsZeroAllocs(t *testing.T) {
 	cfg := testConfig(47)
-	cfg.SpanDepth = 0
+	cfg.TraceDepth = 0
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

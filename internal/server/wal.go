@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mecache/internal/mec"
-	"mecache/internal/obs"
 	"mecache/internal/wal"
 )
 
@@ -148,16 +147,6 @@ func (s *Server) recoverWAL() error {
 		"skipped", skipped, "applied", applied, "snapshotLSN", snapLSN, "lsn", s.st.lsn,
 		"tornTailTruncated", stats.Truncated, "tornBytes", stats.TornBytes,
 		"durationMs", float64(elapsed.Microseconds())/1000)
-	if s.ring.Enabled() && (applied > 0 || stats.Truncated) {
-		s.ring.Add(obs.Trace{
-			Kind:     "recovery",
-			Start:    start,
-			Duration: elapsed.Seconds(),
-			Provider: -1,
-			Chosen:   mec.Remote,
-			Records:  applied,
-		})
-	}
 	return nil
 }
 

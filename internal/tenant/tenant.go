@@ -144,7 +144,7 @@ type Registry struct {
 	hHydrate   *metrics.Histogram
 
 	// spans retains the registry's own lifecycle spans (tenant hydration
-	// and eviction), sized by the template's SpanDepth and served at the
+	// and eviction), sized by the template's TraceDepth and served at the
 	// process-level GET /debug/spans; per-tenant request spans live in each
 	// tenant daemon and are served under /v1/t/{tenant}/debug/spans.
 	spans   *obs.SpanRing
@@ -178,7 +178,7 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		log:   cfg.Logger,
 		reg:   metrics.NewRegistry(),
 		ents:  make(map[string]*entry),
-		spans: obs.NewSpanRing(cfg.Template.SpanDepth),
+		spans: obs.NewSpanRing(cfg.Template.TraceDepth),
 	}
 	if r.log == nil {
 		r.log = obs.NopLogger()

@@ -457,7 +457,7 @@ func TestRegistryLifecycleSpans(t *testing.T) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if !sr.Enabled || sr.Count != len(sr.Spans) || sr.Capacity != tpl.SpanDepth {
+	if !sr.Enabled || sr.Count != len(sr.Spans) || sr.Capacity != tpl.TraceDepth {
 		t.Fatalf("bad envelope: %+v", sr)
 	}
 
@@ -525,11 +525,11 @@ func TestRegistryLifecycleSpans(t *testing.T) {
 	}
 }
 
-// TestRegistrySpansDisabled checks SpanDepth 0 switches the registry ring
+// TestRegistrySpansDisabled checks TraceDepth 0 switches the registry ring
 // off along with every tenant's.
 func TestRegistrySpansDisabled(t *testing.T) {
 	tpl := testTemplate(2)
-	tpl.SpanDepth = 0
+	tpl.TraceDepth = 0
 	_, ts := startRegistry(t, Config{Template: tpl})
 	_, data := get(t, ts.URL+"/debug/spans")
 	var sr struct {

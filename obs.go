@@ -7,8 +7,9 @@ import (
 	"mecache/internal/obs"
 )
 
-// Observability types: decision tracing for the equilibrium algorithms and
-// the daemon, structured-logging helpers, and build identity.
+// Observability types: decision tracing for the equilibrium algorithms,
+// the daemon's lifecycle spans, structured-logging helpers, and build
+// identity.
 type (
 	// Tracer receives decision events from the algorithms (best-response
 	// candidates and choices, moves, rounds, epoch phases). Nil disables
@@ -19,15 +20,14 @@ type (
 	TraceEvent = obs.Event
 	// TraceRecorder collects events in memory, capped at a limit.
 	TraceRecorder = obs.Recorder
-	// DecisionTrace is one completed admission or epoch decision as served
-	// by the daemon's GET /v1/debug/trace.
-	DecisionTrace = obs.Trace
 	// BuildInfo identifies the running binary (module version, toolchain,
 	// VCS revision).
 	BuildInfo = obs.BuildInfo
 	// Span is one timed stage of a request lifecycle as served by the
 	// daemon's GET /v1/debug/spans: queue wait, WAL append/fsync, apply,
-	// best response, view publish, correlated by a W3C trace ID.
+	// best response, view publish, correlated by a W3C trace ID. A traced
+	// admission's best_response span carries its decision: the chosen
+	// strategy and the Eq. 3 terms of the winner and the runner-up.
 	Span = obs.Span
 	// SpanAttr is one typed span attribute ({"key","value"} in JSON).
 	SpanAttr = obs.Attr
