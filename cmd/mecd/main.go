@@ -107,7 +107,6 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 	epoch := fs.Duration("epoch", 0, "wall-clock re-equilibration period (0 = manual epochs via POST /v1/admin/epoch)")
 	xi := fs.Float64("xi", 0.7, "coordinated fraction at each epoch")
 	migrationAware := fs.Bool("migration-aware", false, "suppress epoch moves not worth their re-instantiation cost")
-	epochWorkers := fs.Int("epoch-workers", 0, "worker width of the sharded epoch best-response round (<=1 = serial; results are bit-identical at every width)")
 	policy := fs.String("policy", "remote-fallback", "failover policy: remote-fallback, re-place, or wait-for-repair")
 	snapshot := fs.String("snapshot", "", "JSON snapshot path for persistence across restarts; tenant t writes dir/<t>/file (empty = none)")
 	walDir := fs.String("wal-dir", "", "write-ahead log base directory; tenant t logs to <wal-dir>/<t>/ (empty = no WAL)")
@@ -142,7 +141,6 @@ func run(w io.Writer, args []string, stop <-chan struct{}) error {
 	cfg.EpochInterval = *epoch
 	cfg.Xi = *xi
 	cfg.MigrationAware = *migrationAware
-	cfg.EpochWorkers = *epochWorkers
 	cfg.Policy = pol
 	cfg.SnapshotPath = *snapshot
 	cfg.TraceDepth = *traceDepth

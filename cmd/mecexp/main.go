@@ -57,7 +57,6 @@ func run(w io.Writer, args []string) error {
 	n := fs.Int("n", 100, "admissions per combo")
 	par := fs.Int("parallel", 0, "combos executed concurrently (<1 = one per CPU, 1 = serial)")
 	loadWorkers := fs.Int("load-workers", 1, "mecload concurrency per combo (1 keeps summaries bit-reproducible)")
-	epochWorkers := fs.Int("epoch-workers", 0, "mecd sharded-epoch worker width per combo (<=1 = serial; epoch results are bit-identical at every width)")
 	comboTimeout := fs.Duration("combo-timeout", 5*time.Minute, "per-combo deadline")
 	mecd := fs.String("mecd", "", "prebuilt mecd binary (default: go build ./cmd/mecd)")
 	mecload := fs.String("mecload", "", "prebuilt mecload binary (default: go build ./cmd/mecload)")
@@ -135,7 +134,6 @@ func run(w io.Writer, args []string) error {
 		Stamp:        st,
 		Parallel:     *par,
 		LoadWorkers:  *loadWorkers,
-		EpochWorkers: *epochWorkers,
 		ComboTimeout: *comboTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(w, "mecexp: "+format+"\n", args...)

@@ -76,10 +76,6 @@ type LCFOptions struct {
 	// rows that changed (see EpochSolveState). Results are byte-identical
 	// with or without a state, traced or not.
 	State *EpochSolveState
-	// Workers, when > 1, runs the selfish best-response round sharded by
-	// cloudlet-locality components (game.Game.Workers). The outcome is
-	// bit-identical at every worker count.
-	Workers int
 }
 
 // selectCoordinated applies the coordination strategy to pick which
@@ -182,7 +178,6 @@ func LCF(m *mec.Market, opts LCFOptions) (*LCFResult, error) {
 	g := game.New(m)
 	g.Trace = opts.Trace
 	g.NaiveScan = opts.Reference
-	g.Workers = opts.Workers
 	init := make(mec.Placement, n)
 	for l := range init {
 		init[l] = mec.Remote

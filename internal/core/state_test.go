@@ -177,27 +177,6 @@ func TestEpochStateOptionChangesMiss(t *testing.T) {
 	}
 }
 
-// TestEpochStateWorkersIdentity: the sharded selfish round behind
-// LCFOptions.Workers must not change the result, with or without a state.
-func TestEpochStateWorkersIdentity(t *testing.T) {
-	m := genMarket(t, 29, 80, 55)
-	serial, err := LCF(m, LCFOptions{Xi: 0.4, Seed: 8, Appro: ApproOptions{Solver: SolverTransport}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		var st EpochSolveState
-		got, err := LCF(m, LCFOptions{
-			Xi: 0.4, Seed: 8, Appro: ApproOptions{Solver: SolverTransport},
-			State: &st, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lcfResultsEqual(t, "workers", serial, got)
-	}
-}
-
 // TestEpochStateInvalidate drops every layer and forces a cold solve.
 func TestEpochStateInvalidate(t *testing.T) {
 	m := genMarket(t, 31, 80, 40)

@@ -48,10 +48,6 @@ type Config struct {
 	// MaxActive caps concurrent providers; arrivals beyond it are rejected
 	// (counted, not fatal). Zero means no cap.
 	MaxActive int
-	// EpochWorkers sets the worker width of the sharded best-response round
-	// inside each epoch's LCF call. Values <= 1 run serially; every width
-	// produces bit-identical results, so this is purely a wall-clock knob.
-	EpochWorkers int
 	// MigrationAware adds hysteresis to the epochs: a provider is migrated
 	// to its new LCF strategy only when the move reduces its own cost by
 	// more than its re-instantiation cost c_l^ins. This trades a slightly
@@ -102,9 +98,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxActive < 0 {
 		return fmt.Errorf("dynamic: MaxActive must be non-negative, got %d", cfg.MaxActive)
-	}
-	if cfg.EpochWorkers < 0 {
-		return fmt.Errorf("dynamic: EpochWorkers must be non-negative, got %d", cfg.EpochWorkers)
 	}
 	if err := cfg.Workload.Validate(); err != nil {
 		return err
@@ -466,7 +459,6 @@ func (s *Simulator) epoch() error {
 		Seed:           s.cfg.Seed + uint64(s.metrics.Epochs),
 		MigrationAware: s.cfg.MigrationAware,
 		State:          &s.solve,
-		Workers:        s.cfg.EpochWorkers,
 	}
 	if s.cfg.Fault.Enabled() {
 		// LCF plans over the full network; hold providers that are mid-
@@ -523,9 +515,6 @@ type EpochOptions struct {
 	// core.EpochSolveState). Nil solves cold; results are byte-identical
 	// either way.
 	State *EpochSolveState
-	// Workers widens the selfish best-response round inside LCF; the
-	// sharded round is bit-identical at every width.
-	Workers int
 }
 
 // EpochSolveState is the warm-start cache one market stream carries across
@@ -560,9 +549,6 @@ type EpochStats struct {
 	// cancelled from the kept optimum. Empty without EpochOptions.State.
 	Transport                        string
 	TransportAdded, TransportRemoved int
-	// Shards is the number of locality components the sharded best-response
-	// round ran in parallel (0 when the round ran serially). Telemetry only.
-	Shards int
 }
 
 // Reequilibrate is one epoch of the infrastructure provider's slow control
@@ -581,7 +567,6 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 		Trace:     opts.Trace,
 		Reference: opts.Reference,
 		State:     opts.State,
-		Workers:   opts.Workers,
 	})
 	if err != nil {
 		return nil, st, err
@@ -590,7 +575,6 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 	st.Moves = res.Dynamics.Moves
 	st.Converged = res.Dynamics.Converged
 	st.Solver = res.Appro.SolverUsed.String()
-	st.Shards = res.Dynamics.Shards
 	if opts.State != nil {
 		st.WarmStart = opts.State.LastWarm
 		st.Transport, st.TransportAdded, st.TransportRemoved = opts.State.LastTransport()

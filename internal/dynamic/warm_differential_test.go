@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"mecache/internal/mec"
@@ -10,12 +9,12 @@ import (
 )
 
 // TestDifferentialWarmEpochs is the end-to-end byte-identity suite for the
-// warm-started, incrementally re-rounded, sharded epoch solve: a sequence
-// of epochs over a churning market — provider appends and removals, failed
-// cloudlets, frozen providers, hysteresis on and off, and one exact repeat
-// to force the transport solve's no-delta hit — must produce placements and stats
-// bit-identical to a cold, serial, stateless Reequilibrate at every step,
-// across congestion models and worker widths 1 / 4 / NumCPU.
+// warm-started, incrementally re-rounded epoch solve: a sequence of epochs
+// over a churning market — provider appends and removals, failed cloudlets,
+// frozen providers, hysteresis on and off, and one exact repeat to force the
+// transport solve's no-delta hit — must produce placements and stats
+// bit-identical to a cold, stateless Reequilibrate at every step, across
+// congestion models.
 func TestDifferentialWarmEpochs(t *testing.T) {
 	models := []struct {
 		name string
@@ -25,8 +24,6 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 		{"poly", mec.PolynomialCongestion{Degree: 1.5}},
 		{"exp", mec.ExponentialCongestion{Base: 1.08}},
 	}
-	widths := []int{1, 4, runtime.NumCPU()}
-
 	for _, mod := range models {
 		for seed := uint64(1); seed <= 3; seed++ {
 			cfg := workload.Default(seed*23 + 2)
@@ -48,12 +45,9 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 				pl[l] = BestResponseAvoidingFailed(m, pl, l, nil)
 			}
 
-			// One evolving warm state per worker width, mirroring how a
-			// simulator or daemon would carry it across epochs.
-			states := make([]*EpochSolveState, len(widths))
-			for i := range states {
-				states[i] = &EpochSolveState{}
-			}
+			// One evolving warm state, carried across epochs the way a
+			// simulator or daemon carries it.
+			state := &EpochSolveState{}
 
 			for epoch := uint64(0); epoch < 6; epoch++ {
 				// Churn the market between epochs 2-4; epoch 5 repeats
@@ -96,72 +90,42 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for wi, w := range widths {
-					warm := opts
-					warm.State = states[wi]
-					warm.Workers = w
-					nextW, stW, err := Reequilibrate(m, pl, warm)
-					if err != nil {
-						t.Fatal(err)
+				warm := opts
+				warm.State = state
+				nextW, stW, err := Reequilibrate(m, pl, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range nextC {
+					if nextW[i] != nextC[i] {
+						t.Fatalf("%s seed=%d epoch=%d: provider %d at %d (warm) vs %d (cold)",
+							mod.name, seed, epoch, i, nextW[i], nextC[i])
 					}
-					for i := range nextC {
-						if nextW[i] != nextC[i] {
-							t.Fatalf("%s seed=%d epoch=%d workers=%d: provider %d at %d (warm) vs %d (cold)",
-								mod.name, seed, epoch, w, i, nextW[i], nextC[i])
-						}
-					}
-					if math.Float64bits(stW.SocialCost) != math.Float64bits(stC.SocialCost) ||
-						math.Float64bits(stW.MigrationCost) != math.Float64bits(stC.MigrationCost) {
-						t.Fatalf("%s seed=%d epoch=%d workers=%d: cost bits differ (social %x/%x migration %x/%x)",
-							mod.name, seed, epoch, w,
-							math.Float64bits(stW.SocialCost), math.Float64bits(stC.SocialCost),
-							math.Float64bits(stW.MigrationCost), math.Float64bits(stC.MigrationCost))
-					}
-					if stW.Reconfigurations != stC.Reconfigurations ||
-						stW.MigrationsSuppressed != stC.MigrationsSuppressed ||
-						stW.Rounds != stC.Rounds || stW.Moves != stC.Moves ||
-						stW.Converged != stC.Converged {
-						t.Fatalf("%s seed=%d epoch=%d workers=%d: stats diverged:\nwarm %+v\ncold %+v",
-							mod.name, seed, epoch, w, stW, stC)
-					}
-					if stW.Solver != "transport" {
-						t.Fatalf("epoch solver = %q", stW.Solver)
-					}
-					if epoch == 5 && !stW.WarmStart {
-						t.Fatalf("%s seed=%d workers=%d: repeated epoch did not warm-start", mod.name, seed, w)
-					}
+				}
+				if math.Float64bits(stW.SocialCost) != math.Float64bits(stC.SocialCost) ||
+					math.Float64bits(stW.MigrationCost) != math.Float64bits(stC.MigrationCost) {
+					t.Fatalf("%s seed=%d epoch=%d: cost bits differ (social %x/%x migration %x/%x)",
+						mod.name, seed, epoch,
+						math.Float64bits(stW.SocialCost), math.Float64bits(stC.SocialCost),
+						math.Float64bits(stW.MigrationCost), math.Float64bits(stC.MigrationCost))
+				}
+				if stW.Reconfigurations != stC.Reconfigurations ||
+					stW.MigrationsSuppressed != stC.MigrationsSuppressed ||
+					stW.Rounds != stC.Rounds || stW.Moves != stC.Moves ||
+					stW.Converged != stC.Converged {
+					t.Fatalf("%s seed=%d epoch=%d: stats diverged:\nwarm %+v\ncold %+v",
+						mod.name, seed, epoch, stW, stC)
+				}
+				if stW.Solver != "transport" {
+					t.Fatalf("epoch solver = %q", stW.Solver)
+				}
+				if epoch == 5 && !stW.WarmStart {
+					t.Fatalf("%s seed=%d: repeated epoch did not warm-start", mod.name, seed)
 				}
 				// Advance the shared placement so later epochs start from a
 				// realistic mid-stream profile.
 				pl = nextC
 			}
-		}
-	}
-}
-
-// TestSimulatorEpochWorkersIdentity runs the full simulator — churn, epochs,
-// hysteresis — at several epoch worker widths and demands identical metrics
-// (the simulator always carries a warm state; the width must be invisible).
-func TestSimulatorEpochWorkersIdentity(t *testing.T) {
-	run := func(workers int) *Metrics {
-		cfg := DefaultConfig(13)
-		cfg.Horizon = 80
-		cfg.MigrationAware = true
-		cfg.EpochWorkers = workers
-		sim, err := New(nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		met, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return met
-	}
-	base := run(0)
-	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		if got := run(w); *got != *base {
-			t.Fatalf("EpochWorkers=%d changed the run:\n%+v\nvs\n%+v", w, got, base)
 		}
 	}
 }

@@ -39,11 +39,6 @@ type Runner struct {
 	// counts bit-reproducible; raise it only to trade determinism of
 	// placements for speed.
 	LoadWorkers int
-	// EpochWorkers is the -epoch-workers width passed to every booted
-	// daemon (<=1 = serial). Epoch results are bit-identical at every
-	// width, so this knob trades cores for epoch latency without touching
-	// the deterministic summary.
-	EpochWorkers int
 	// ComboTimeout bounds one combo end to end (default 5m).
 	ComboTimeout time.Duration
 	// Logf, when set, receives one progress line per combo.
@@ -144,9 +139,6 @@ func (r *Runner) bootDaemon(p Plan, scratch, comboDir string, deadline time.Time
 	}
 	if p.Combo.Policy.MigrationAware {
 		args = append(args, "-migration-aware")
-	}
-	if r.EpochWorkers > 1 {
-		args = append(args, "-epoch-workers", strconv.Itoa(r.EpochWorkers))
 	}
 	if p.Combo.Tenants > 1 {
 		// Multi-tenant combos hydrate lazily: tenant t<k> exists the

@@ -65,8 +65,7 @@ func TestEpochLatencyFromFamilies(t *testing.T) {
 }
 
 // A waves combo drives traced manual epochs, so its summary must carry the
-// wall-clock epoch latency profile — and a sharded daemon (-epoch-workers)
-// must reproduce the deterministic section of the serial run byte for byte.
+// wall-clock epoch latency profile.
 func TestWavesComboEpochLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns daemon children")
@@ -79,19 +78,15 @@ func TestWavesComboEpochLatency(t *testing.T) {
 		Seed:       9,
 		Admissions: 12,
 	}
-	run := func(stamp string, epochWorkers int) ([]byte, Summary) {
-		r := testRunner(t, stamp)
-		r.EpochWorkers = epochWorkers
-		idx, err := r.Run(m)
-		if err != nil {
-			t.Fatalf("run %s: %v", stamp, err)
-		}
-		if idx.OK != 1 || idx.Failed != 0 {
-			t.Fatalf("run %s: %d ok %d failed", stamp, idx.OK, idx.Failed)
-		}
-		return readSummary(t, filepath.Join(r.Out, r.Stamp, idx.Combos[0].Dir, "summary.json"))
+	r := testRunner(t, "waves")
+	idx, err := r.Run(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d1, s := run("waves-serial", 0)
+	if idx.OK != 1 || idx.Failed != 0 {
+		t.Fatalf("%d ok %d failed", idx.OK, idx.Failed)
+	}
+	_, s := readSummary(t, filepath.Join(r.Out, r.Stamp, idx.Combos[0].Dir, "summary.json"))
 	el := s.WallClock.Epoch
 	if el == nil {
 		t.Fatal("waves combo summary has no wallClock.epoch profile")
@@ -102,18 +97,6 @@ func TestWavesComboEpochLatency(t *testing.T) {
 	}
 	if !(el.P50Seconds >= 0) || !(el.P99Seconds >= el.P50Seconds) {
 		t.Fatalf("implausible percentiles: %+v", el)
-	}
-	d2, _ := run("waves-sharded", 4)
-	c1, err := CanonicalSummary(d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := CanonicalSummary(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(c1) != string(c2) {
-		t.Fatalf("sharded daemon diverged from serial:\n%s\nvs\n%s", c1, c2)
 	}
 }
 

@@ -1,14 +1,14 @@
-// Package flow implements integer-capacity min-cost flow via successive
-// shortest paths with Johnson potentials (Bellman-Ford initialization, then
-// an early-exit Dijkstra per augmentation).
+// Package flow implements integer-capacity min-cost flow by successive
+// shortest paths with Johnson potentials: every unit is routed by one
+// early-exit Dijkstra over reduced costs.
 //
 // It is the engine behind the exact transportation solve of the paper's
 // virtual-cloudlet reduction (unit-size items into slotted bins, see
-// internal/gap). Besides the one-shot MinCostFlow, a Network keeps its
-// potentials across calls and supports the incremental operations an
-// epoch-to-epoch re-solve needs: removing a node with its arcs, cancelling
-// routed units, augmenting one unit from any node (Augment), and repairing
-// an arc that regained residual capacity (Relax). Each of them preserves the
+// internal/gap). A Network keeps its potentials across calls and supports
+// the incremental operations an epoch-to-epoch re-solve needs: pricing a new
+// node (SetPotential), removing a node with its arcs, cancelling routed
+// units, augmenting one unit from any node (Augment), and repairing an arc
+// that regained residual capacity (Relax). Each of them preserves the
 // invariant every Dijkstra relies on: every residual arc has a non-negative
 // reduced cost under the kept potentials.
 package flow
@@ -201,56 +201,38 @@ func (g *Network) Rebase(v int) {
 	}
 }
 
-// Result summarizes a MinCostFlow run.
-type Result struct {
-	Flow int     // total units shipped source -> sink
-	Cost float64 // total cost of the shipped flow
-}
-
-// scratch sizes the reusable solver buffers to the current node count.
-func (g *Network) scratch() {
+// Augment routes one unit from s to t along a shortest residual path, found
+// by one Dijkstra that stops as soon as t is settled, and folds the
+// distances into the potentials (pot += min(dist, dist[t])). It requires
+// every residual arc to have a non-negative reduced cost (which it
+// preserves) and reports false — with flow and potentials untouched — when
+// t is unreachable.
+func (g *Network) Augment(s, t int) bool {
 	if cap(g.dist) < g.n {
 		g.dist = make([]float64, g.n)
 		g.prevArc = make([]int, g.n)
 	}
 	g.dist = g.dist[:g.n]
 	g.prevArc = g.prevArc[:g.n]
-}
-
-// MinCostFlow pushes up to maxFlow units (use math.MaxInt for max-flow) from
-// s to t at minimum cost. Negative arc costs are allowed as long as the
-// network has no negative-cost cycle reachable with positive capacity. It
-// recomputes the potentials from scratch, overwriting the kept ones.
-func (g *Network) MinCostFlow(s, t, maxFlow int) (Result, error) {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		return Result{}, fmt.Errorf("flow: terminal out of range: s=%d t=%d n=%d", s, t, g.n)
+	if !g.dijkstra(s, t) {
+		return false
 	}
-	if s == t {
-		return Result{}, fmt.Errorf("flow: source equals sink (%d)", s)
-	}
-	if err := g.bellmanFordPotentials(s); err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for res.Flow < maxFlow {
-		push, cost, ok := g.augment(s, t, maxFlow-res.Flow)
-		if !ok {
-			break // no augmenting path left
+	pot, dist := g.pot, g.dist
+	dt := dist[t]
+	for v := 0; v < g.n; v++ {
+		if dist[v] < dt {
+			pot[v] += dist[v]
+		} else {
+			pot[v] += dt
 		}
-		res.Flow += push
-		res.Cost += cost
 	}
-	return res, nil
-}
-
-// Augment routes one unit from s to t along a shortest residual path, found
-// by one Dijkstra that stops as soon as t is settled, and updates the
-// potentials. It requires every residual arc to have a non-negative reduced
-// cost (which it preserves) and reports false — with flow and potentials
-// untouched — when t is unreachable.
-func (g *Network) Augment(s, t int) bool {
-	_, _, ok := g.augment(s, t, 1)
-	return ok
+	for v := t; v != s; {
+		a := g.prevArc[v]
+		g.arcs[a].cap--
+		g.arcs[a^1].cap++
+		v = int(g.arcs[a^1].to)
+	}
+	return true
 }
 
 // Relax restores non-negative reduced costs after arc id regained residual
@@ -266,86 +248,8 @@ func (g *Network) Relax(id int) {
 	u, v := int(g.arcs[id^1].to), int(g.arcs[id].to)
 	if g.arcs[id].cap > 0 && g.arcs[id].cost+g.pot[u]-g.pot[v] < -1e-9 {
 		g.AddFlow(id, 1)
-		g.augment(v, u, 1)
+		g.Augment(v, u)
 	}
-}
-
-// augment runs one early-exit Dijkstra from s and, when t is reachable,
-// pushes min(limit, bottleneck) units along the path and folds the
-// distances into the potentials (pot += min(dist, dist[t])). It returns the
-// units pushed and their cost. When t is unreachable the potentials are left
-// alone.
-func (g *Network) augment(s, t, limit int) (int, float64, bool) {
-	g.scratch()
-	if !g.dijkstra(s, t) {
-		return 0, 0, false
-	}
-	pot, dist := g.pot, g.dist
-	dt := dist[t]
-	for v := 0; v < g.n; v++ {
-		if dist[v] < dt {
-			pot[v] += dist[v]
-		} else {
-			pot[v] += dt
-		}
-	}
-	push := limit
-	for v := t; v != s; {
-		a := g.prevArc[v]
-		if g.arcs[a].cap < push {
-			push = g.arcs[a].cap
-		}
-		v = int(g.arcs[a^1].to)
-	}
-	cost := 0.0
-	for v := t; v != s; {
-		a := g.prevArc[v]
-		g.arcs[a].cap -= push
-		g.arcs[a^1].cap += push
-		cost += float64(push) * g.arcs[a].cost
-		v = int(g.arcs[a^1].to)
-	}
-	return push, cost, true
-}
-
-// bellmanFordPotentials computes potentials so that all reduced costs
-// reachable from s become non-negative. It fails on a
-// positive-capacity-reachable negative cycle.
-func (g *Network) bellmanFordPotentials(s int) error {
-	pot := g.pot
-	for v := range pot {
-		pot[v] = math.Inf(1)
-	}
-	pot[s] = 0
-	for iter := 0; iter < g.n; iter++ {
-		changed := false
-		for v := 0; v < g.n; v++ {
-			if math.IsInf(pot[v], 1) {
-				continue
-			}
-			for _, id := range g.heads[v] {
-				a := g.arcs[id]
-				if a.cap > 0 && pot[v]+a.cost < pot[a.to]-1e-12 {
-					pot[a.to] = pot[v] + a.cost
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-		if iter == g.n-1 {
-			return fmt.Errorf("flow: negative-cost cycle detected")
-		}
-	}
-	// Unreachable nodes keep potential 0 (they can never appear on an
-	// augmenting path anyway, but Inf would poison arithmetic).
-	for v := range pot {
-		if math.IsInf(pot[v], 1) {
-			pot[v] = 0
-		}
-	}
-	return nil
 }
 
 type fpqItem struct {

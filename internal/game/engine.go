@@ -49,18 +49,6 @@ func NewLoadState(m *mec.Market) *LoadState {
 	}
 }
 
-// Clone returns an independent copy of the state over the same market. The
-// sharded best-response round hands each shard its own clone so concurrent
-// shards never share mutable load accounts.
-func (ls *LoadState) Clone() *LoadState {
-	return &LoadState{
-		m:         ls.m,
-		count:     append([]int(nil), ls.count...),
-		compute:   append([]float64(nil), ls.compute...),
-		bandwidth: append([]float64(nil), ls.bandwidth...),
-	}
-}
-
 // Reset rebuilds the state from a full placement.
 func (ls *LoadState) Reset(pl mec.Placement) {
 	for i := range ls.count {

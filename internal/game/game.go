@@ -54,14 +54,6 @@ type Game struct {
 	// It exists for the differential tests and the benchmark baseline —
 	// both scans must reach identical placements at every fixed seed.
 	NaiveScan bool
-	// Workers enables the sharded best-response round: free providers are
-	// partitioned into connected components of the cloudlet-reachability
-	// graph and each component runs its dynamics on a private LoadState
-	// clone, up to Workers components at a time. The result is bit-identical
-	// to the serial run at every worker count (see shard.go for the
-	// argument); values <= 1 — and any run with a Trace attached or a
-	// market whose congestion floor is unusable — stay on the serial path.
-	Workers int
 }
 
 // New returns a game over the market with no pinned players, capacity
@@ -182,11 +174,6 @@ type DynamicsResult struct {
 	Rounds    int  // full passes over the players
 	Moves     int  // strategy changes applied
 	Converged bool // true if a full pass produced no move
-	// Shards is telemetry only: the number of locality components the
-	// sharded round ran in parallel, or 0 for a serial run. It is excluded
-	// from the byte-identity contract (everything above is identical at
-	// every worker count).
-	Shards int
 }
 
 // BestResponseDynamics runs randomized round-robin better-response dynamics
@@ -205,22 +192,16 @@ func (g *Game) BestResponseDynamics(init mec.Placement, r *rng.Source, maxRounds
 	rl := g.newLoads(pl)
 	res := DynamicsResult{Placement: pl}
 
-	free := make([]int, 0, len(pl))
+	order := make([]int, 0, len(pl))
 	for l := range g.Market.Providers {
 		if !g.Pinned[l] {
-			free = append(free, l)
+			order = append(order, l)
 		}
 	}
-	if len(free) == 0 {
+	if len(order) == 0 {
 		res.Converged = true
 		return res, nil
 	}
-	if g.Workers > 1 && g.Trace == nil && r != nil && !math.IsInf(g.Market.CongestionFloor(), -1) {
-		if comps := g.shardComponents(pl, free); len(comps) > 1 {
-			return g.bestResponseSharded(pl, r, maxRounds, free, comps)
-		}
-	}
-	order := append([]int(nil), free...)
 	for round := 0; round < maxRounds; round++ {
 		res.Rounds++
 		if r != nil {

@@ -48,15 +48,6 @@ func (r *Source) Split() *Source {
 	return New(r.Uint64())
 }
 
-// Clone returns an exact copy of the source's current state: clone and
-// original produce identical streams from this point on and are unlinked
-// thereafter. The sharded best-response round uses clones so every shard
-// replays the one serial shuffle stream without advancing the caller's.
-func (r *Source) Clone() *Source {
-	c := *r
-	return &c
-}
-
 // Substream returns the independent child stream for task `index` of the
 // run seeded by `seed`. Unlike Split, derivation reads no mutable state:
 // the stream is a pure function of (seed, index), so parallel workers can

@@ -619,7 +619,6 @@ func (s *Server) epochCmd(st *state) cmdResult {
 		Frozen:         st.waiting,
 		Failed:         st.failed,
 		State:          &st.solve,
-		Workers:        s.cfg.EpochWorkers,
 	})
 	if err != nil {
 		return errorf(http.StatusInternalServerError, "server: epoch %d: %v", st.epochs, err)
@@ -640,7 +639,6 @@ func (s *Server) epochCmd(st *state) cmdResult {
 				obs.String("transport", est.Transport),
 				obs.Int64("rows_added", int64(est.TransportAdded)),
 				obs.Int64("rows_removed", int64(est.TransportRemoved)),
-				obs.Int64("shards", int64(est.Shards)),
 				obs.Int64("suppressed", int64(est.MigrationsSuppressed)),
 				obs.Float64("social_cost", est.SocialCost),
 			},

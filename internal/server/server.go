@@ -66,10 +66,6 @@ type Config struct {
 	// moves a cached provider only when the saving beats its re-instantiation
 	// cost.
 	MigrationAware bool
-	// EpochWorkers widens the sharded best-response round inside each epoch
-	// solve. Values <= 1 run serially; every width is bit-identical, so this
-	// only trades cores for epoch latency. Negative is invalid.
-	EpochWorkers int
 	// Policy is the failover reaction applied by POST /v1/admin/fail.
 	Policy fault.Policy
 	// SnapshotPath, when non-empty, persists the market as JSON after every
@@ -156,9 +152,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxActive < 0 {
 		return fmt.Errorf("server: negative MaxActive %d", cfg.MaxActive)
-	}
-	if cfg.EpochWorkers < 0 {
-		return fmt.Errorf("server: negative EpochWorkers %d", cfg.EpochWorkers)
 	}
 	if cfg.EpochInterval < 0 {
 		return fmt.Errorf("server: negative epoch interval %v", cfg.EpochInterval)
