@@ -198,6 +198,14 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(top, []Cloudlet{{Node: 0, ComputeCap: 0, BandwidthCap: 1}}, []DataCenter{{Node: 0}}); err == nil {
 		t.Fatal("zero compute capacity accepted")
 	}
+	directed := graph.New(3, true)
+	if err := directed.AddEdge(0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	dtop := &topology.Topology{Name: "directed", Graph: directed, Pos: make([]topology.Point, 3)}
+	if _, err := NewNetwork(dtop, []Cloudlet{{Node: 1, ComputeCap: 1, BandwidthCap: 1}}, []DataCenter{{Node: 0}}); err == nil {
+		t.Fatal("directed topology accepted")
+	}
 }
 
 func TestNearestDC(t *testing.T) {

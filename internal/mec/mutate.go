@@ -11,8 +11,9 @@ import "fmt"
 // NewMarket over the same provider slice (see mutate_test.go).
 
 // AppendProvider admits one more provider into the market, validating it
-// and computing its congestion-free cost rows incrementally. It returns the
-// new provider's index (always len(Providers)-1 after the call).
+// and computing only its own congestion-free cost row (read from the
+// Network's site-hop table) and candidate order. It returns the new
+// provider's index (always len(Providers)-1 after the call).
 func (m *Market) AppendProvider(p Provider) (int, error) {
 	l := len(m.Providers)
 	if err := validateProvider(m.Net, l, p); err != nil {
@@ -27,12 +28,10 @@ func (m *Market) AppendProvider(p Provider) (int, error) {
 	}
 	m.Providers = append(m.Providers, p)
 	row := make([]float64, m.Net.NumCloudlets())
-	for i := range m.Net.Cloudlets {
-		row[i] = m.baseCost(&m.Providers[l], i)
-	}
+	m.fillBase(row, &m.Providers[l])
 	m.base = append(m.base, row)
 	m.remote = append(m.remote, m.remoteCost(&m.Providers[l]))
-	m.scanOrder = append(m.scanOrder, m.sortedByBase(l))
+	m.scanOrder = append(m.scanOrder, m.sortedByBase(row))
 	m.growLevelSum()
 	return l, nil
 }

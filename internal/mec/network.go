@@ -69,21 +69,38 @@ type DataCenter struct {
 
 // Network is the two-tiered MEC network: the switch topology plus the
 // cloudlets and data centers attached to it.
+//
+// NewNetwork precomputes every hop count a cost can ask for, and nothing
+// writes the Network afterwards, so any number of goroutines may read one
+// Network at once. The topology and the cloudlet and data-center nodes must
+// not change after construction.
 type Network struct {
 	Topo      *topology.Topology
 	Cloudlets []Cloudlet
 	DCs       []DataCenter
 
-	// hop[u] is the hop-distance vector from node u, computed lazily for
-	// exactly the nodes that serve as sources (cloudlets, DCs, attachment
-	// points).
-	hop map[int][]int
+	// The sites are the cloudlets (site i is cloudlet i) followed by the
+	// data centers (site nc+d is DC d); ns counts them. siteHops is a dense
+	// node-major table: siteHops[node*ns+s] is the hop count between
+	// topology node `node` and site s, or -1 when they are disconnected. A
+	// node's cloudlet hops are therefore one contiguous slice, which is
+	// what a provider's cost row reads.
+	siteHops []int32
+	ns       int
+	// siteOf[node] is the lowest site at that node, or -1 if none.
+	siteOf []int32
 }
 
-// NewNetwork assembles a Network and validates node references.
+// NewNetwork assembles a Network, validates node references, and builds
+// the site-hop table with one breadth-first search per site.
 func NewNetwork(topo *topology.Topology, cloudlets []Cloudlet, dcs []DataCenter) (*Network, error) {
 	if topo == nil || topo.Graph == nil {
 		return nil, fmt.Errorf("mec: nil topology")
+	}
+	if topo.Graph.Directed() {
+		// Hops reads the table from whichever endpoint is a site, which is
+		// only sound when hop counts are symmetric.
+		return nil, fmt.Errorf("mec: topology graph must be undirected")
 	}
 	n := topo.N()
 	for i, cl := range cloudlets {
@@ -105,26 +122,84 @@ func NewNetwork(topo *topology.Topology, cloudlets []Cloudlet, dcs []DataCenter)
 			return nil, fmt.Errorf("mec: data center %d at invalid node %d", i, dc.Node)
 		}
 	}
-	return &Network{
+	net := &Network{
 		Topo:      topo,
 		Cloudlets: cloudlets,
 		DCs:       dcs,
-		hop:       make(map[int][]int),
-	}, nil
+	}
+	net.buildSiteHops()
+	return net, nil
+}
+
+// buildSiteHops fills siteHops and siteOf. Its breadth-first search reuses
+// one distance and one queue buffer across sites: calling
+// Graph.HopDistances per site allocates a fresh row and queue each time,
+// which doubles NewMarket's time at 250 cloudlets.
+func (net *Network) buildSiteHops() {
+	g := net.Topo.Graph
+	n := g.N()
+	sites := make([]int, 0, len(net.Cloudlets)+len(net.DCs))
+	for _, cl := range net.Cloudlets {
+		sites = append(sites, cl.Node)
+	}
+	for _, dc := range net.DCs {
+		sites = append(sites, dc.Node)
+	}
+	ns := len(sites)
+	net.ns = ns
+	net.siteHops = make([]int32, n*ns)
+	net.siteOf = make([]int32, n)
+	for v := range net.siteOf {
+		net.siteOf[v] = -1
+	}
+	dist := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for s, node := range sites {
+		if net.siteOf[node] < 0 {
+			net.siteOf[node] = int32(s)
+		}
+		for v := range dist {
+			dist[v] = -1
+		}
+		dist[node] = 0
+		queue = append(queue[:0], int32(node))
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			for _, e := range g.Neighbors(int(u)) {
+				if dist[e.To] < 0 {
+					dist[e.To] = dist[u] + 1
+					queue = append(queue, int32(e.To))
+				}
+			}
+		}
+		for v, d := range dist {
+			net.siteHops[v*ns+s] = d
+		}
+	}
 }
 
 // NumCloudlets returns |CL|.
 func (net *Network) NumCloudlets() int { return len(net.Cloudlets) }
 
 // Hops returns the hop count between two topology nodes, or -1 if they are
-// disconnected.
+// disconnected. It reads the site-hop table when either endpoint hosts a
+// cloudlet or data center, which every cost does; between two other nodes
+// it runs one uncached breadth-first search.
 func (net *Network) Hops(from, to int) int {
-	d, ok := net.hop[from]
-	if !ok {
-		d = net.Topo.Graph.HopDistances(from)
-		net.hop[from] = d
+	if s := net.siteOf[to]; s >= 0 {
+		return int(net.siteHops[from*net.ns+int(s)])
 	}
-	return d[to]
+	if s := net.siteOf[from]; s >= 0 {
+		return int(net.siteHops[to*net.ns+int(s)])
+	}
+	return net.Topo.Graph.HopDistances(from)[to]
+}
+
+// cloudletHops returns the hop counts from node to every cloudlet, indexed
+// by cloudlet. The slice is a view of the table; callers must not write it.
+func (net *Network) cloudletHops(node int) []int32 {
+	off := node * net.ns
+	return net.siteHops[off : off+len(net.Cloudlets)]
 }
 
 // NearestDC returns the index of the data center closest (in hops) to node.

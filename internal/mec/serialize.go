@@ -11,8 +11,7 @@ import (
 
 // This file implements durable snapshots of the market model: JSON
 // round-trips for Network and Market (the serving layer's restart
-// persistence) and deep copies (so background re-equilibration can work on
-// an isolated copy). The encoding is self-contained — topology, cloudlets,
+// persistence). The encoding is self-contained — topology, cloudlets,
 // data centers, providers, and the congestion model all round-trip — and
 // provably lossless: restoring a snapshot rebuilds a market whose every
 // cost table is identical bit for bit (see serialize_test.go).
@@ -210,37 +209,4 @@ func (m *Market) UnmarshalJSON(data []byte) error {
 	}
 	*m = *rebuilt
 	return nil
-}
-
-// Clone returns a deep copy of the network: mutating the copy's topology,
-// cloudlets, or data centers never affects the original. The hop cache
-// starts empty and refills lazily.
-func (net *Network) Clone() *Network {
-	return &Network{
-		Topo: &topology.Topology{
-			Name:  net.Topo.Name,
-			Graph: net.Topo.Graph.Clone(),
-			Pos:   append([]topology.Point(nil), net.Topo.Pos...),
-		},
-		Cloudlets: append([]Cloudlet(nil), net.Cloudlets...),
-		DCs:       append([]DataCenter(nil), net.DCs...),
-		hop:       make(map[int][]int),
-	}
-}
-
-// Clone returns a deep copy of the market: network, providers, and cost
-// tables are all fresh allocations. The congestion model value is shared
-// (the built-in models are immutable values).
-func (m *Market) Clone() *Market {
-	c := &Market{
-		Net:        m.Net.Clone(),
-		Providers:  append([]Provider(nil), m.Providers...),
-		congestion: m.congestion,
-		base:       make([][]float64, len(m.base)),
-		remote:     append([]float64(nil), m.remote...),
-	}
-	for l, row := range m.base {
-		c.base[l] = append([]float64(nil), row...)
-	}
-	return c
 }

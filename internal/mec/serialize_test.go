@@ -30,7 +30,13 @@ func marketsEqual(t *testing.T, a, b *Market) {
 			if a.BaseCost(l, i) != b.BaseCost(l, i) {
 				t.Fatalf("base cost (%d,%d) differs: %v vs %v", l, i, a.BaseCost(l, i), b.BaseCost(l, i))
 			}
+			if a.CandidateOrder(l)[i] != b.CandidateOrder(l)[i] {
+				t.Fatalf("candidate order of %d differs at rank %d: %v vs %v", l, i, a.CandidateOrder(l), b.CandidateOrder(l))
+			}
 		}
+	}
+	if a.CongestionFloor() != b.CongestionFloor() {
+		t.Fatalf("congestion floors differ: %v vs %v", a.CongestionFloor(), b.CongestionFloor())
 	}
 	pl := make(Placement, len(a.Providers))
 	for l := range pl {
@@ -178,36 +184,5 @@ func TestPlacementJSONRoundTrip(t *testing.T) {
 		if pl[i] != back[i] {
 			t.Fatalf("entry %d differs: %d vs %d", i, pl[i], back[i])
 		}
-	}
-}
-
-func TestMarketClone(t *testing.T) {
-	m := testMarket(t)
-	c := m.Clone()
-	marketsEqual(t, m, c)
-
-	// Mutating the clone must not leak into the original.
-	c.Providers[0].Requests = 999
-	c.Net.Cloudlets[0].Alpha = 99
-	if m.Providers[0].Requests == 999 || m.Net.Cloudlets[0].Alpha == 99 {
-		t.Fatal("clone shares memory with the original")
-	}
-	if _, err := c.AppendProvider(m.Providers[1]); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Providers) == len(c.Providers) {
-		t.Fatal("append to clone grew the original")
-	}
-}
-
-func TestNetworkClone(t *testing.T) {
-	m := testMarket(t)
-	c := m.Net.Clone()
-	c.Cloudlets[0].Node = 0
-	if m.Net.Cloudlets[0].Node == 0 {
-		t.Fatal("network clone shares cloudlet slice")
-	}
-	if c.Topo.Graph == m.Net.Topo.Graph {
-		t.Fatal("network clone shares the graph")
 	}
 }
