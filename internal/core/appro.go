@@ -129,12 +129,6 @@ func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st := opts.State; st != nil {
-		st.LastSolver = solver
-		// Warm = the transport solve reused the kept optimum (no delta,
-		// or a repaired one); the Shmoys-Tardos path always runs cold.
-		st.LastWarm = solver == SolverTransport && st.transport.Last != gap.SolveRebuild
-	}
 
 	reduced := 0.0
 	for l, s := range placement {
@@ -229,7 +223,7 @@ func approTransport(m *mec.Market, slots []int, opts ApproOptions) (mec.Placemen
 	if opts.State != nil {
 		ts = &opts.State.transport
 	}
-	sol, _, err := gap.SolveCongestionTransportWarm(base, binSlots, marginal, ts)
+	sol, err := gap.SolveCongestionTransport(base, binSlots, marginal, ts)
 	if err != nil {
 		return nil, fmt.Errorf("core: transport reduction: %w", err)
 	}

@@ -21,19 +21,6 @@ type EpochSolveState struct {
 	// Deprecated: LCFHits and LCFMisses counted a full-LCF result cache
 	// that no longer exists; they always read zero. Use TransportStats.
 	LCFHits, LCFMisses uint64
-	// LastSolver is the GAP engine the most recent solve used.
-	LastSolver Solver
-	// LastWarm reports whether the most recent solve reused kept work: a
-	// transport solve that found no delta or repaired the kept optimum.
-	LastWarm bool
-}
-
-// Invalidate drops the kept optimum; the next solve runs fully cold.
-func (st *EpochSolveState) Invalidate() {
-	if st == nil {
-		return
-	}
-	st.transport.Invalidate()
 }
 
 // TransportStats exposes the transport-layer counters for telemetry: hits

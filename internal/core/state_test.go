@@ -89,11 +89,11 @@ func TestEpochStateResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.LastWarm {
-		t.Fatalf("after repeat: lastWarm=%v", st.LastWarm)
+	if kind, _, _ := st.LastTransport(); kind != "hit" {
+		t.Fatalf("after repeat: transport %q, want hit", kind)
 	}
-	if st.LastSolver != SolverTransport {
-		t.Fatalf("LastSolver = %v", st.LastSolver)
+	if second.Appro.SolverUsed != SolverTransport {
+		t.Fatalf("SolverUsed = %v", second.Appro.SolverUsed)
 	}
 	cold, err := LCF(m, LCFOptions{Xi: 0.7, Seed: 42, Appro: ApproOptions{Solver: SolverTransport}})
 	if err != nil {
@@ -174,29 +174,5 @@ func TestEpochStateOptionChangesMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		lcfResultsEqual(t, "variant", cold, got)
-	}
-}
-
-// TestEpochStateInvalidate drops every layer and forces a cold solve.
-func TestEpochStateInvalidate(t *testing.T) {
-	m := genMarket(t, 31, 80, 40)
-	var st EpochSolveState
-	opts := LCFOptions{Xi: 0.5, Seed: 6, Appro: ApproOptions{Solver: SolverTransport}, State: &st}
-	if _, err := LCF(m, opts); err != nil {
-		t.Fatal(err)
-	}
-	st.Invalidate()
-	got, err := LCF(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := LCF(m, LCFOptions{Xi: 0.5, Seed: 6, Appro: ApproOptions{Solver: SolverTransport}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcfResultsEqual(t, "invalidate", cold, got)
-	hits, misses, _ := st.TransportStats()
-	if hits+misses == 0 {
-		t.Fatal("transport layer never consulted")
 	}
 }

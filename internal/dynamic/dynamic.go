@@ -540,10 +540,6 @@ type EpochStats struct {
 	Converged bool
 	// Solver names the GAP engine the inner Appro call used.
 	Solver string
-	// WarmStart reports whether the solve reused kept work from the epoch
-	// state (a transport solve that found no delta or repaired the kept
-	// optimum). Always false without EpochOptions.State.
-	WarmStart bool
 	// Transport says how the epoch state served the transport solve
 	// ("hit", "repair" or "rebuild"), with the rows it added to and
 	// cancelled from the kept optimum. Empty without EpochOptions.State.
@@ -576,7 +572,6 @@ func Reequilibrate(m *mec.Market, pl mec.Placement, opts EpochOptions) (mec.Plac
 	st.Converged = res.Dynamics.Converged
 	st.Solver = res.Appro.SolverUsed.String()
 	if opts.State != nil {
-		st.WarmStart = opts.State.LastWarm
 		st.Transport, st.TransportAdded, st.TransportRemoved = opts.State.LastTransport()
 	}
 	next := res.Placement
@@ -756,34 +751,6 @@ func (s *Simulator) findLive(id int) (int, *liveProvider) {
 	return -1, nil
 }
 
-// resourceLoads tallies per-cloudlet tenant count and compute/bandwidth
-// usage of pl, excluding provider skip (use -1 to exclude nobody).
-func resourceLoads(m *mec.Market, pl mec.Placement, skip int) (count []int, compute, bandwidth []float64) {
-	nc := m.Net.NumCloudlets()
-	count = make([]int, nc)
-	compute = make([]float64, nc)
-	bandwidth = make([]float64, nc)
-	for j, c := range pl {
-		if j == skip || c == mec.Remote {
-			continue
-		}
-		p := &m.Providers[j]
-		count[c]++
-		compute[c] += p.ComputeDemand()
-		bandwidth[c] += p.BandwidthDemand()
-	}
-	return count, compute, bandwidth
-}
-
-// fitsAt reports whether provider l fits cloudlet i given loads that
-// exclude l (mirrors the game engine's capacity slack).
-func fitsAt(m *mec.Market, l, i int, compute, bandwidth []float64) bool {
-	p := &m.Providers[l]
-	cl := &m.Net.Cloudlets[i]
-	return compute[i]+p.ComputeDemand() <= cl.ComputeCap+1e-9 &&
-		bandwidth[i]+p.BandwidthDemand() <= cl.BandwidthCap+1e-9
-}
-
 // BestResponseAvoidingFailed is the capacity-aware best response of
 // provider l restricted to live cloudlets: the same candidate scan as
 // game.BestResponse, with the cloudlets marked in failed excluded (nil
@@ -793,19 +760,9 @@ func fitsAt(m *mec.Market, l, i int, compute, bandwidth []float64) bool {
 // one provider at a time should carry a game.LoadState across calls and use
 // BestResponseWithLoads instead.
 func BestResponseAvoidingFailed(m *mec.Market, pl mec.Placement, l int, failed []bool) int {
-	return BestResponseAvoidingFailedTraced(m, pl, l, failed, nil)
-}
-
-// BestResponseAvoidingFailedTraced is BestResponseAvoidingFailed with
-// decision tracing: every candidate strategy (remote first, then each live
-// and capacity-feasible cloudlet in ascending base-cost order) is emitted
-// with its Eq. 3 cost broken out, followed by the chosen strategy. A nil
-// tracer makes it identical to the untraced scan — same candidates, same
-// tie-breaking, same result.
-func BestResponseAvoidingFailedTraced(m *mec.Market, pl mec.Placement, l int, failed []bool, tr obs.Tracer) int {
 	ls := game.NewLoadState(m)
 	ls.Reset(pl)
-	return BestResponseWithLoads(ls, pl, l, failed, tr)
+	return BestResponseWithLoads(ls, pl, l, failed, nil)
 }
 
 // BestResponseWithLoads is the incremental form of the masked best
@@ -819,24 +776,6 @@ func BestResponseWithLoads(ls *game.LoadState, pl mec.Placement, l int, failed [
 		defer ls.Add(l, cur)
 	}
 	best, _ := ls.BestResponseTraced(l, cur, true, failed, tr)
-	return best
-}
-
-// bestResponseNaive is the pre-engine reference scan, kept for the
-// differential tests and the benchmark baseline (EpochOptions.Reference).
-func bestResponseNaive(m *mec.Market, pl mec.Placement, l int, failed []bool) int {
-	count, compute, bandwidth := resourceLoads(m, pl, l)
-	best := mec.Remote
-	bestC := m.RemoteCost(l)
-	for i := 0; i < m.Net.NumCloudlets(); i++ {
-		if (failed != nil && failed[i]) || !fitsAt(m, l, i, compute, bandwidth) {
-			continue
-		}
-		c := m.CostAt(l, i, count[i]+1)
-		if c < bestC-1e-15 {
-			best, bestC = i, c
-		}
-	}
 	return best
 }
 

@@ -119,7 +119,7 @@ func TestDifferentialWarmEpochs(t *testing.T) {
 				if stW.Solver != "transport" {
 					t.Fatalf("epoch solver = %q", stW.Solver)
 				}
-				if epoch == 5 && !stW.WarmStart {
+				if epoch == 5 && stW.Transport == "rebuild" {
 					t.Fatalf("%s seed=%d: repeated epoch did not warm-start", mod.name, seed)
 				}
 				// Advance the shared placement so later epochs start from a

@@ -9,7 +9,7 @@
 //     than the LP optimum and overloads any bin by at most the largest
 //     item assigned to it (the classical additive guarantee, which yields
 //     the paper's multiplicative 2 after the virtual-cloudlet scaling).
-//   - SolveTransport / SolveCongestionTransport: the exact min-cost-flow
+//   - SolveCongestionTransport: the exact min-cost-flow
 //     solve of slotted instances (every item occupies exactly one slot of
 //     its bin). The paper's virtual-cloudlet reduction — "each virtual
 //     cloudlet being restricted to be able to only cache a single service

@@ -158,8 +158,8 @@ func TestTransportChurnSoak(t *testing.T) {
 			peak = len(c.base)
 		}
 
-		cold, cerr := SolveCongestionTransport(c.base, c.slots, c.marginal)
-		warm, _, werr := SolveCongestionTransportWarm(c.base, c.slots, c.marginal, st)
+		cold, cerr := SolveCongestionTransport(c.base, c.slots, c.marginal, nil)
+		warm, werr := SolveCongestionTransport(c.base, c.slots, c.marginal, st)
 		if (cerr == nil) != (werr == nil) {
 			t.Fatalf("step %d: cold err %v, warm err %v", step, cerr, werr)
 		}

@@ -8,17 +8,17 @@ import (
 	"mecache/internal/flow"
 )
 
-// This file is the persistent exact solver behind SolveCongestionTransport.
-// A TransportState keeps the optimal flow of the last reduction it solved,
-// with its Johnson potentials, and turns the next reduction into a delta:
-// rows are matched to the kept ones (bit-identical rows in order, the rest
-// by fingerprint, every match confirmed against the kept row), departed or
-// repriced rows cancel their unit path and repair the one slot arc that may
-// have turned profitable, and new rows route one unit each by an
-// early-exit Dijkstra. Every step keeps the invariant that every residual
-// arc has a non-negative reduced cost, so the kept flow is optimal after
-// each step (DESIGN.md §5l). A cold solve is the same code adding every row
-// to an empty state.
+// This file is the exact slotted solver SolveCongestionTransport and the
+// persistent state behind it. A TransportState keeps the optimal flow of
+// the last reduction it solved, with its Johnson potentials, and turns the
+// next reduction into a delta: rows are matched to the kept ones
+// (bit-identical rows in order, the rest by fingerprint, every match
+// confirmed against the kept row), departed or repriced rows cancel their
+// unit path and repair the one slot arc that may have turned profitable,
+// and new rows route one unit each by an early-exit Dijkstra. Every step
+// keeps the invariant that every residual arc has a non-negative reduced
+// cost, so the kept flow is optimal after each step (DESIGN.md §5l). A cold
+// solve is the same code adding every row to an empty state.
 
 // fp128 is a 128-bit incremental fingerprint (FNV-1a paired with a rotated
 // multiply-accumulate) over 64-bit words, folded to 64 bits per row. Row
@@ -50,8 +50,8 @@ type SolveKind uint8
 // Solve kinds.
 const (
 	// SolveRebuild built the network from empty: the first solve, one
-	// after Invalidate or an error, or one whose bin count, slot counts or
-	// marginal-cost chains changed.
+	// after an error, or one whose bin count, slot counts or marginal-cost
+	// chains changed.
 	SolveRebuild SolveKind = iota
 	// SolveRepair applied a row delta to the kept optimum.
 	SolveRepair
@@ -115,55 +115,64 @@ type TransportState struct {
 	LastAdded, LastRemoved int
 }
 
-// Invalidate drops the kept optimum, forcing the next solve to rebuild.
-// Buffers are kept.
-func (st *TransportState) Invalidate() {
-	if st == nil {
-		return
-	}
-	st.valid = false
-}
-
-// SolveCongestionTransportWarm is SolveCongestionTransport on a reusable
-// state: the result is the state's kept optimum, repaired for whatever
-// changed since its last solve, and is byte-identical to a cold solve's.
-// warm reports a solve with no delta at all. st may be nil (a cold solve).
-func SolveCongestionTransportWarm(base [][]float64, slots []int, marginal func(bin, k int) float64, st *TransportState) (*Assignment, bool, error) {
+// SolveCongestionTransport solves the slotted assignment with convex
+// congestion: every item occupies exactly one slot, bin i offers slots[i]
+// slots, and placing the k-th item (k = 1..slots[i]) into bin i costs
+// base[item][i] + marginal(i, k); a nil marginal prices every slot at 0.
+// This is the shape produced by the paper's virtual-cloudlet reduction
+// ("each virtual cloudlet being restricted to be able to only cache a
+// single service instance"), where cloudlet CL_i is split into n_i virtual
+// cloudlets (Eq. 7) and each virtual cloudlet hosts one service, priced by
+// the congestion it adds — the paper's own observation that the derivation
+// "relies only on the non-decreasing of cost with congestion levels".
+//
+// When marginal(i, ·) is non-decreasing the returned assignment is the
+// exact optimum of the congestion-aware slotted problem: the underlying
+// transportation LP has an integral optimum, the min-cost flow fills each
+// bin's cheapest marginal slots first, so the objective telescopes to the
+// true congestion total, and it never puts more items in a bin than it has
+// slots — which is why it is Appro's default solver.
+//
+// st carries the kept optimum across solves: the result is that optimum,
+// repaired for whatever changed since the last solve, and is
+// byte-identical to a cold solve's; st.Last says how it was served. A nil
+// st is the cold solve, every row added to an empty state.
+func SolveCongestionTransport(base [][]float64, slots []int, marginal func(bin, k int) float64, st *TransportState) (*Assignment, error) {
 	n := len(base)
 	m := len(slots)
 	if n == 0 {
-		return &Assignment{}, false, nil
+		return &Assignment{}, nil
 	}
 	if marginal == nil {
 		marginal = func(int, int) float64 { return 0 }
 	}
 	for j, row := range base {
 		if len(row) != m {
-			return nil, false, fmt.Errorf("gap: item %d has %d costs, want %d", j, len(row), m)
+			return nil, fmt.Errorf("gap: item %d has %d costs, want %d", j, len(row), m)
 		}
 	}
 	totalSlots := 0
 	for i, s := range slots {
 		if s < 0 {
-			return nil, false, fmt.Errorf("gap: bin %d has negative slot count %d", i, s)
+			return nil, fmt.Errorf("gap: bin %d has negative slot count %d", i, s)
 		}
 		totalSlots += min(s, n)
 	}
 	if totalSlots < n {
-		return nil, false, fmt.Errorf("gap: %d items exceed %d total slots", n, totalSlots)
+		return nil, fmt.Errorf("gap: %d items exceed %d total slots", n, totalSlots)
 	}
 	if st == nil {
 		st = &TransportState{}
 	}
 	if err := st.chains(slots, marginal, n); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	a, err := st.solve(base)
 	if err != nil {
 		st.valid = false
-		return nil, false, err
+		return nil, err
 	}
-	return a, st.Last == SolveHit, nil
+	return a, nil
 }
 
 // chains validates every bin's marginal-cost chain and computes its runs

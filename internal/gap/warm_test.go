@@ -45,17 +45,17 @@ func TestTransportWarmExactHit(t *testing.T) {
 	r := rng.New(11)
 	base, slots, marginal := randomTransport(r, 40, 12)
 	st := &TransportState{}
-	cold, err := SolveCongestionTransport(base, slots, marginal)
+	cold, err := SolveCongestionTransport(base, slots, marginal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
-	if err != nil || warm {
-		t.Fatalf("first solve: warm=%v err=%v", warm, err)
+	first, err := SolveCongestionTransport(base, slots, marginal, st)
+	if err != nil || st.Last != SolveRebuild {
+		t.Fatalf("first solve: kind %v err=%v", st.Last, err)
 	}
-	second, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
-	if err != nil || !warm {
-		t.Fatalf("second solve: warm=%v err=%v", warm, err)
+	second, err := SolveCongestionTransport(base, slots, marginal, st)
+	if err != nil || st.Last != SolveHit {
+		t.Fatalf("second solve: kind %v err=%v", st.Last, err)
 	}
 	if !reflect.DeepEqual(cold.Bin, first.Bin) || !reflect.DeepEqual(cold.Bin, second.Bin) {
 		t.Fatalf("warm bins diverge from cold:\ncold  %v\nfirst %v\nhit   %v", cold.Bin, first.Bin, second.Bin)
@@ -68,8 +68,8 @@ func TestTransportWarmExactHit(t *testing.T) {
 	}
 	// Mutating the result must not poison the cache.
 	second.Bin[0] = -99
-	third, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
-	if err != nil || !warm || !reflect.DeepEqual(cold.Bin, third.Bin) {
+	third, err := SolveCongestionTransport(base, slots, marginal, st)
+	if err != nil || st.Last != SolveHit || !reflect.DeepEqual(cold.Bin, third.Bin) {
 		t.Fatalf("cache aliased caller mutation: %v", third.Bin)
 	}
 }
@@ -78,7 +78,7 @@ func TestTransportWarmPatchedRowsMatchCold(t *testing.T) {
 	r := rng.New(23)
 	base, slots, marginal := randomTransport(r, 50, 14)
 	st := &TransportState{}
-	if _, _, err := SolveCongestionTransportWarm(base, slots, marginal, st); err != nil {
+	if _, err := SolveCongestionTransport(base, slots, marginal, st); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 25; round++ {
@@ -91,15 +91,15 @@ func TestTransportWarmPatchedRowsMatchCold(t *testing.T) {
 				}
 			}
 		}
-		cold, err := SolveCongestionTransport(base, slots, marginal)
+		cold, err := SolveCongestionTransport(base, slots, marginal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmSol, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
+		warmSol, err := SolveCongestionTransport(base, slots, marginal, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm {
+		if st.Last == SolveHit {
 			t.Fatalf("round %d: changed rows reported as exact hit", round)
 		}
 		if !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
@@ -118,7 +118,7 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	r := rng.New(31)
 	base, slots, marginal := randomTransport(r, 30, 10)
 	st := &TransportState{}
-	if _, _, err := SolveCongestionTransportWarm(base, slots, marginal, st); err != nil {
+	if _, err := SolveCongestionTransport(base, slots, marginal, st); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a forbidden pair to finite: the row's arc set changes, which the
@@ -136,13 +136,13 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 			break
 		}
 	}
-	cold, err := SolveCongestionTransport(base, slots, marginal)
+	cold, err := SolveCongestionTransport(base, slots, marginal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmSol, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
-	if err != nil || warm {
-		t.Fatalf("warm=%v err=%v", warm, err)
+	warmSol, err := SolveCongestionTransport(base, slots, marginal, st)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cold.Bin, warmSol.Bin) {
 		t.Fatalf("repriced row diverges from cold\ncold %v\nwarm %v", cold.Bin, warmSol.Bin)
@@ -153,11 +153,11 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	}
 	// A slot-count change on a capacitated bin is structural: rebuild.
 	slots[0]++
-	cold1, err := SolveCongestionTransport(base, slots, marginal)
+	cold1, err := SolveCongestionTransport(base, slots, marginal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm1, _, err := SolveCongestionTransportWarm(base, slots, marginal, st)
+	warm1, err := SolveCongestionTransport(base, slots, marginal, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	// Growing the instance must also stay exact.
 	base = append(base, append([]float64(nil), base[0]...))
 	slots[len(slots)-1]++
-	cold2, err := SolveCongestionTransport(base, slots, marginal)
+	cold2, err := SolveCongestionTransport(base, slots, marginal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm2, _, err := SolveCongestionTransportWarm(base, slots, marginal, st)
+	warm2, err := SolveCongestionTransport(base, slots, marginal, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,18 +180,30 @@ func TestTransportWarmStructuralChangeRebuilds(t *testing.T) {
 	}
 }
 
+// TestTransportWarmInvalidate pins the error path: a solve that fails
+// drops the kept optimum, so the next solve rebuilds and matches cold.
 func TestTransportWarmInvalidate(t *testing.T) {
 	r := rng.New(41)
 	base, slots, marginal := randomTransport(r, 20, 8)
 	st := &TransportState{}
-	if _, _, err := SolveCongestionTransportWarm(base, slots, marginal, st); err != nil {
+	if _, err := SolveCongestionTransport(base, slots, marginal, st); err != nil {
 		t.Fatal(err)
 	}
-	st.Invalidate()
-	_, warm, err := SolveCongestionTransportWarm(base, slots, marginal, st)
-	if err != nil || warm {
-		t.Fatalf("invalidated state still hit: warm=%v err=%v", warm, err)
+	bad := append([][]float64(nil), base...)
+	bad[3] = append([]float64(nil), base[3]...)
+	bad[3][0] = math.NaN()
+	if _, err := SolveCongestionTransport(bad, slots, marginal, st); err == nil {
+		t.Fatal("NaN base cost accepted")
 	}
-	var nilState *TransportState
-	nilState.Invalidate() // must not panic
+	cold, err := SolveCongestionTransport(base, slots, marginal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveCongestionTransport(base, slots, marginal, st)
+	if err != nil || st.Last != SolveRebuild {
+		t.Fatalf("solve after an error: kind %v err=%v, want a rebuild", st.Last, err)
+	}
+	if !reflect.DeepEqual(cold.Bin, got.Bin) || math.Float64bits(cold.Cost) != math.Float64bits(got.Cost) {
+		t.Fatalf("solve after an error diverges from cold\ncold %v\nwarm %v", cold.Bin, got.Bin)
+	}
 }

@@ -115,26 +115,3 @@ func (sp ShortestPaths) PathTo(dst int) []int {
 	}
 	return rev
 }
-
-// AllPairs computes shortest-path distances between every pair of nodes by
-// running Dijkstra from each source. The result is row-major: dist[u][v].
-func (g *Graph) AllPairs() [][]float64 {
-	n := len(g.adj)
-	dist := make([][]float64, n)
-	for u := 0; u < n; u++ {
-		dist[u] = g.Dijkstra(u).Dist
-	}
-	return dist
-}
-
-// Eccentricity returns the maximum finite shortest-path distance from src.
-func (g *Graph) Eccentricity(src int) float64 {
-	sp := g.Dijkstra(src)
-	ecc := 0.0
-	for _, d := range sp.Dist {
-		if !math.IsInf(d, 1) && d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

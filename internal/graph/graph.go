@@ -91,15 +91,6 @@ func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), directed: g.directed, edges: g.edges}
-	for i, es := range g.adj {
-		c.adj[i] = append([]Edge(nil), es...)
-	}
-	return c
-}
-
 // Connected reports whether an undirected graph is connected (a graph with
 // zero nodes is connected by convention). For directed graphs it checks
 // reachability from node 0 only.

@@ -143,6 +143,18 @@ func NewMarket(net *Network, providers []Provider) (*Market, error) {
 // validateProvider checks one provider against the network; l only labels
 // the error message.
 func validateProvider(net *Network, l int, p Provider) error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"computePerReq", p.ComputePerReq}, {"bandwidthPerReq", p.BandwidthPerReq},
+		{"instCost", p.InstCost}, {"trafficGBPerReq", p.TrafficGBPerReq},
+		{"dataGB", p.DataGB}, {"updateRatio", p.UpdateRatio},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("mec: provider %d has non-finite %s %v", l, f.name, f.v)
+		}
+	}
 	if p.Requests <= 0 {
 		return fmt.Errorf("mec: provider %d has %d requests", l, p.Requests)
 	}

@@ -1,6 +1,8 @@
 package mec
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -187,6 +189,64 @@ func TestNewMarketValidation(t *testing.T) {
 	}
 }
 
+// TestProviderRejectsNonFinite feeds a NaN or infinite value in each float
+// field of a provider through every way into a market: NewMarket,
+// AppendProvider and a JSON snapshot. JSON has no NaN, and an out-of-range
+// number such as 1e999 must fail to decode.
+func TestProviderRejectsNonFinite(t *testing.T) {
+	m := testMarket(t)
+	snapshot, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		name string
+		set  func(p *Provider, v float64)
+	}{
+		{"computePerReq", func(p *Provider, v float64) { p.ComputePerReq = v }},
+		{"bandwidthPerReq", func(p *Provider, v float64) { p.BandwidthPerReq = v }},
+		{"instCost", func(p *Provider, v float64) { p.InstCost = v }},
+		{"trafficGBPerReq", func(p *Provider, v float64) { p.TrafficGBPerReq = v }},
+		{"dataGB", func(p *Provider, v float64) { p.DataGB = v }},
+		{"updateRatio", func(p *Provider, v float64) { p.UpdateRatio = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			name := fmt.Sprintf("%s=%v", f.name, v)
+			p := m.Providers[0]
+			f.set(&p, v)
+			if _, err := NewMarket(m.Net, []Provider{m.Providers[1], p}); err == nil {
+				t.Errorf("%s: NewMarket accepted it", name)
+			}
+			if _, err := m.AppendProvider(p); err == nil {
+				t.Errorf("%s: AppendProvider accepted it", name)
+			}
+			if len(m.Providers) != 2 || len(m.base) != 2 {
+				t.Fatalf("%s: a rejected append changed the market", name)
+			}
+			if math.IsNaN(v) {
+				continue
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(snapshot, &doc); err != nil {
+				t.Fatal(err)
+			}
+			num := "1e999"
+			if v < 0 {
+				num = "-1e999"
+			}
+			doc["providers"].([]any)[0].(map[string]any)[f.name] = json.Number(num)
+			bad, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := new(Market).UnmarshalJSON(bad); err == nil {
+				t.Errorf("%s: UnmarshalJSON accepted it", name)
+			}
+		}
+	}
+}
+
 func TestNewNetworkValidation(t *testing.T) {
 	top := lineTopo(t)
 	if _, err := NewNetwork(top, []Cloudlet{{Node: 99, ComputeCap: 1, BandwidthCap: 1}}, []DataCenter{{Node: 0}}); err == nil {
@@ -205,22 +265,6 @@ func TestNewNetworkValidation(t *testing.T) {
 	dtop := &topology.Topology{Name: "directed", Graph: directed, Pos: make([]topology.Point, 3)}
 	if _, err := NewNetwork(dtop, []Cloudlet{{Node: 1, ComputeCap: 1, BandwidthCap: 1}}, []DataCenter{{Node: 0}}); err == nil {
 		t.Fatal("directed topology accepted")
-	}
-}
-
-func TestNearestDC(t *testing.T) {
-	top := lineTopo(t)
-	net, err := NewNetwork(top,
-		[]Cloudlet{{Node: 2, ComputeCap: 1, BandwidthCap: 1}},
-		[]DataCenter{{Node: 0}, {Node: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc := net.NearestDC(1); dc != 0 {
-		t.Fatalf("NearestDC(1) = %d, want 0", dc)
-	}
-	if dc := net.NearestDC(4); dc != 1 {
-		t.Fatalf("NearestDC(4) = %d, want 1", dc)
 	}
 }
 

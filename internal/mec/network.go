@@ -201,18 +201,3 @@ func (net *Network) cloudletHops(node int) []int32 {
 	off := node * net.ns
 	return net.siteHops[off : off+len(net.Cloudlets)]
 }
-
-// NearestDC returns the index of the data center closest (in hops) to node.
-func (net *Network) NearestDC(node int) int {
-	best, bestHops := 0, -1
-	for i, dc := range net.DCs {
-		h := net.Hops(dc.Node, node)
-		if h < 0 {
-			continue
-		}
-		if bestHops < 0 || h < bestHops {
-			best, bestHops = i, h
-		}
-	}
-	return best
-}

@@ -140,7 +140,7 @@ func TestBaseCostMatchesHopFormula(t *testing.T) {
 }
 
 // TestNetworkConcurrentReaders shares one Network between goroutines that
-// read hop counts, nearest DCs and base costs at once; a Network is never
+// read hop counts and base costs at once; a Network is never
 // written after NewNetwork, so the race detector must stay silent.
 func TestNetworkConcurrentReaders(t *testing.T) {
 	topo, err := topology.GTITM(7^0xdddd, 100)
@@ -169,7 +169,6 @@ func TestNetworkConcurrentReaders(t *testing.T) {
 				for v := 0; v < topo.N(); v += 3 {
 					sum += float64(net.Hops(u, v))
 				}
-				sum += float64(net.NearestDC(u))
 			}
 			for l := range providers {
 				for i := range net.Cloudlets {

@@ -217,35 +217,6 @@ func FindFamily(fams []Family, name string) (Family, bool) {
 	return Family{}, false
 }
 
-// FindSample returns the first sample named name (a family name or a
-// histogram's _bucket/_sum/_count series) whose label set includes every
-// given ("key", "value", ...) pair. Subset matching is deliberate: a caller
-// asserting on result="accepted" should not break when a tenant label is
-// added to the series.
-func FindSample(fams []Family, name string, labelKV ...string) (Sample, bool) {
-	if len(labelKV)%2 != 0 {
-		panic("metrics: odd label key/value list")
-	}
-	for _, f := range fams {
-		for _, s := range f.Samples {
-			if s.Name != name {
-				continue
-			}
-			match := true
-			for i := 0; i < len(labelKV); i += 2 {
-				if s.Labels[labelKV[i]] != labelKV[i+1] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return s, true
-			}
-		}
-	}
-	return Sample{}, false
-}
-
 // histSeries tracks the scrape-contract state of one histogram series (one
 // non-le label combination) while CheckHistogram walks a family.
 type histSeries struct {

@@ -81,18 +81,6 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if count != 2 || sum != 1.5 {
 		t.Fatalf("histogram count/sum = %v/%v", count, sum)
 	}
-
-	// FindSample matches by label subset, so adding labels to a series
-	// never breaks an existing assertion.
-	if s, ok := FindSample(fams, "a_total", "k", `v"q"`); !ok || s.Value != 3 {
-		t.Fatalf("FindSample subset match failed: %+v ok=%v", s, ok)
-	}
-	if _, ok := FindSample(fams, "a_total", "k", "nope"); ok {
-		t.Fatal("FindSample matched a wrong label value")
-	}
-	if s, ok := FindSample(fams, "lat_bucket", "le", "+Inf"); !ok || s.Value != 2 {
-		t.Fatalf("FindSample on histogram series failed: %+v ok=%v", s, ok)
-	}
 }
 
 // TestCheckHistogramRejects pins the invariant checks on hand-built bad

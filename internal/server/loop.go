@@ -624,9 +624,9 @@ func (s *Server) epochCmd(st *state) cmdResult {
 		return errorf(http.StatusInternalServerError, "server: epoch %d: %v", st.epochs, err)
 	}
 	if spanOn {
-		warm := "miss"
-		if est.WarmStart {
-			warm = "hit"
+		warm := "hit"
+		if est.Transport == "rebuild" {
+			warm = "miss"
 		}
 		s.recordSpan(obs.Span{
 			Parent: s.curParent, Trace: s.curTrace, Stage: obs.StageEpochSolve,

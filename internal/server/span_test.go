@@ -497,7 +497,8 @@ func TestTracedEpochSpans(t *testing.T) {
 // transport solve was served: the first epoch builds the solver from
 // scratch, an epoch over an unchanged market is a hit, and an epoch after
 // an admission applies a row delta (or rebuilds, if the newcomer moved a
-// cloudlet's virtual slot count).
+// cloudlet's virtual slot count). The warm_start attr must agree: "miss"
+// exactly on a rebuild.
 func TestTracedEpochTransportAttrs(t *testing.T) {
 	cfg := testConfig(53)
 	_, ts := startServer(t, cfg)
@@ -506,7 +507,7 @@ func TestTracedEpochTransportAttrs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		admit(t, ts, drawProvider(cfg, &v, 53, i))
 	}
-	epoch := func(k uint64) (kind string, added, removed int64) {
+	epoch := func(k uint64) (kind, warm string, added, removed int64) {
 		t.Helper()
 		trace := obs.MintTraceID(53, k)
 		resp, data := postTraced(t, ts.URL+"/v1/admin/epoch", obs.FormatTraceparent(trace, 1), nil)
@@ -524,24 +525,27 @@ func TestTracedEpochTransportAttrs(t *testing.T) {
 			switch a.Key {
 			case "transport":
 				kind = a.Str
+			case "warm_start":
+				warm = a.Str
 			case "rows_added":
 				added = a.Int
 			case "rows_removed":
 				removed = a.Int
 			}
 		}
-		return kind, added, removed
+		return kind, warm, added, removed
 	}
-	if kind, added, removed := epoch(1); kind != "rebuild" || added != 5 || removed != 0 {
-		t.Fatalf("first epoch: transport=%q +%d -%d, want rebuild +5 -0", kind, added, removed)
+	// warm_start is "miss" exactly when the transport solve rebuilt.
+	if kind, warm, added, removed := epoch(1); kind != "rebuild" || warm != "miss" || added != 5 || removed != 0 {
+		t.Fatalf("first epoch: transport=%q warm_start=%q +%d -%d, want rebuild/miss +5 -0", kind, warm, added, removed)
 	}
-	if kind, added, removed := epoch(2); kind != "hit" || added != 0 || removed != 0 {
-		t.Fatalf("unchanged epoch: transport=%q +%d -%d, want hit +0 -0", kind, added, removed)
+	if kind, warm, added, removed := epoch(2); kind != "hit" || warm != "hit" || added != 0 || removed != 0 {
+		t.Fatalf("unchanged epoch: transport=%q warm_start=%q +%d -%d, want hit/hit +0 -0", kind, warm, added, removed)
 	}
 	admit(t, ts, drawProvider(cfg, &v, 53, 5))
-	kind, added, removed := epoch(3)
-	if !(kind == "repair" && added == 1 && removed == 0) && !(kind == "rebuild" && added == 6) {
-		t.Fatalf("epoch after an admission: transport=%q +%d -%d", kind, added, removed)
+	kind, warm, added, removed := epoch(3)
+	if !(kind == "repair" && warm == "hit" && added == 1 && removed == 0) && !(kind == "rebuild" && warm == "miss" && added == 6) {
+		t.Fatalf("epoch after an admission: transport=%q warm_start=%q +%d -%d", kind, warm, added, removed)
 	}
 }
 

@@ -68,39 +68,3 @@ func (s Summary) CI95() float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.CI95(), s.N)
 }
-
-// Welford is an online mean/variance accumulator (Welford's algorithm),
-// used where samples stream in one at a time.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add feeds one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// Summary converts the accumulator to a Summary (Min/Max/Median are not
-// tracked online and stay zero).
-func (w *Welford) Summary() Summary {
-	return Summary{N: w.n, Mean: w.mean, StdDev: w.StdDev()}
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"mecache/internal/rng"
 )
@@ -59,37 +58,6 @@ func TestCI95Shrinks(t *testing.T) {
 	}
 	if Summarize(large).CI95() >= Summarize(small).CI95() {
 		t.Fatal("CI95 did not shrink with sample size")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(50)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = r.FloatRange(-100, 100)
-			w.Add(xs[i])
-		}
-		batch := Summarize(xs)
-		return w.N() == n &&
-			math.Abs(w.Mean()-batch.Mean) < 1e-9 &&
-			math.Abs(w.StdDev()-batch.StdDev) < 1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.StdDev() != 0 || w.N() != 0 {
-		t.Fatal("empty Welford not zero")
-	}
-	s := w.Summary()
-	if s.N != 0 {
-		t.Fatalf("summary %+v", s)
 	}
 }
 

@@ -75,11 +75,6 @@ func (c *Controller) InstallPath(provider int, kind FlowKind, path []int) error 
 	return nil
 }
 
-// RulesAt returns a copy of the flow table of an overlay node.
-func (c *Controller) RulesAt(node int) []FlowRule {
-	return append([]FlowRule(nil), c.tables[node]...)
-}
-
 // TotalRules returns the number of rule installations performed.
 func (c *Controller) TotalRules() int { return c.install }
 

@@ -436,9 +436,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Replay streams every record payload, oldest first, through fn. It must
 // run before the first Append. A torn tail on the last segment — short
 // frame, bad CRC, or oversized length at the very end — is truncated and
