@@ -44,7 +44,9 @@ const (
 	SolverAuto = core.SolverAuto
 	// SolverTransport is the exact min-cost-flow slotted solver.
 	SolverTransport = core.SolverTransport
-	// SolverShmoysTardos is the LP-rounding 2-approximation.
+	// SolverShmoysTardos is the LP-rounding approximation on the same
+	// reduction; its LP is integral there, so it matches SolverTransport's
+	// cost.
 	SolverShmoysTardos = core.SolverShmoysTardos
 )
 

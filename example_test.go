@@ -35,7 +35,7 @@ func ExampleAppro() {
 		panic(err)
 	}
 	fmt.Printf("cloudlets: %d, placement feasible: %v\n",
-		len(res.VirtualSlots), market.CheckCapacity(res.Placement, 0) == nil)
+		len(res.VirtualSlots), market.CheckCapacity(res.Placement) == nil)
 	// Output:
 	// cloudlets: 5, placement feasible: true
 }

@@ -28,7 +28,7 @@ func TestJoOffloadCacheFeasible(t *testing.T) {
 	if err := m.Validate(res.Placement); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("admission control failed: %v", err)
 	}
 	if res.SocialCost <= 0 {
@@ -62,7 +62,7 @@ func TestOffloadCacheFeasible(t *testing.T) {
 	if err := m.Validate(res.Placement); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("admission control failed: %v", err)
 	}
 }
@@ -109,8 +109,8 @@ func TestBaselinesProduceValidCosts(t *testing.T) {
 			return false
 		}
 		return jo.SocialCost > 0 && off.SocialCost > 0 &&
-			m.CheckCapacity(jo.Placement, 0) == nil &&
-			m.CheckCapacity(off.Placement, 0) == nil
+			m.CheckCapacity(jo.Placement) == nil &&
+			m.CheckCapacity(off.Placement) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

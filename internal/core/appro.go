@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mecache/internal/gap"
@@ -27,10 +26,11 @@ const (
 	// for the "one service per virtual cloudlet" reduction the paper
 	// describes).
 	SolverTransport
-	// SolverShmoysTardos always uses the LP-rounding 2-approximation [34]
-	// on the knapsack-shaped reduction: the paper-fidelity option. Its
-	// additive rounding guarantee lets two services share one virtual
-	// cloudlet, so its placements may exceed a cloudlet's capacity.
+	// SolverShmoysTardos always uses the LP-rounding approximation [34]
+	// that Algorithm 1 names, on the same unit-capacity reduction: the
+	// paper-fidelity option. That LP is integral, so it returns an optimum
+	// of equal cost to SolverTransport's and respects every capacity; it
+	// shares no code with the flow solve and serves as its oracle.
 	SolverShmoysTardos
 )
 
@@ -94,9 +94,10 @@ type ApproResult struct {
 
 // Appro is Algorithm 1: split every cloudlet CL_i into n_i virtual
 // cloudlets (Eq. 7), reduce to a GAP instance whose costs ignore congestion
-// (Eq. 9), solve it — by default exactly, as the slotted transportation
-// problem the reduction is, or with the Shmoys-Tardos approximation on
-// request — and merge the virtual cloudlets back into their real cloudlets.
+// (Eq. 9), solve it — by default by min-cost flow, as the slotted
+// transportation problem the reduction is, or by Shmoys-Tardos LP rounding
+// on request — and merge the virtual cloudlets back into their real
+// cloudlets.
 func Appro(m *mec.Market, opts ApproOptions) (*ApproResult, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil market")
@@ -238,73 +239,51 @@ func approTransport(m *mec.Market, slots []int, opts ApproOptions) (mec.Placemen
 	return placement, nil
 }
 
-// approShmoysTardos solves the knapsack-shaped reduction with the
-// LP-rounding approximation: every virtual cloudlet is a knapsack of
-// capacity max{a_max, b_max} (any single service fits), item weights are
-// the services' dominant resource demands. The k-th virtual cloudlet of a
-// cloudlet carries that occupancy level's congestion surcharge (or the flat
-// Eq. 9 one when congestion-blind).
+// approShmoysTardos solves the paper's reduction with the LP-rounding
+// approximation [34]: the k-th virtual cloudlet of CL_i is a unit bin priced
+// at that occupancy level's marginal congestion (or the flat Eq. 9
+// surcharge when congestion-blind), every service weighs 1, and an optional
+// remote bin holds everyone. The LP is then a transportation polytope, so
+// its optimum is integral and the rounding returns an optimal assignment
+// that caches at most n_i services on CL_i (Lemma 1).
 func approShmoysTardos(m *mec.Market, slots []int, opts ApproOptions) (mec.Placement, error) {
 	n := len(m.Providers)
 	nc := m.Net.NumCloudlets()
-	aMax, bMax := m.MaxDemands()
-	capVC := math.Max(aMax, bMax)
-
 	// Bin layout: all virtual cloudlets of CL_0, then CL_1, ...; optionally
-	// a final remote bin big enough for everyone. slot is the occupancy
-	// level (1-based) the virtual cloudlet represents.
-	type binInfo struct {
-		cloudlet int // -1 for remote
-		slot     int
-	}
-	var binsMeta []binInfo
+	// a final remote bin. cloudletOf maps a bin back to its strategy.
+	var cloudletOf []int
+	var surcharge, capacity []float64
 	for i := 0; i < nc; i++ {
 		for k := 1; k <= slots[i]; k++ {
-			binsMeta = append(binsMeta, binInfo{cloudlet: i, slot: k})
+			c := m.CongestionCoeff(i) * m.CongestionLevel(1)
+			if !opts.CongestionBlind {
+				c = marginalCongestion(m, i, k)
+			}
+			cloudletOf = append(cloudletOf, i)
+			surcharge = append(surcharge, c)
+			capacity = append(capacity, 1)
 		}
 	}
 	if !opts.DisallowRemote {
-		binsMeta = append(binsMeta, binInfo{cloudlet: -1})
+		cloudletOf = append(cloudletOf, mec.Remote)
+		capacity = append(capacity, float64(n))
 	}
-	bins := len(binsMeta)
-	if bins == 0 {
+	if len(capacity) == 0 {
 		return nil, fmt.Errorf("core: no virtual cloudlets and remote disallowed")
 	}
-
-	ins := &gap.Instance{
-		Cost:   make([][]float64, n),
-		Weight: make([][]float64, n),
-		Cap:    make([]float64, bins),
+	unit := make([]float64, len(capacity))
+	for b := range unit {
+		unit[b] = 1
 	}
-	totalWeight := 0.0
-	weights := make([]float64, n)
+	ins := &gap.Instance{Cost: make([][]float64, n), Weight: make([][]float64, n), Cap: capacity}
 	for l := 0; l < n; l++ {
-		p := &m.Providers[l]
-		weights[l] = math.Max(p.ComputeDemand(), p.BandwidthDemand())
-		totalWeight += weights[l]
-	}
-	for b := range binsMeta {
-		if binsMeta[b].cloudlet >= 0 {
-			ins.Cap[b] = capVC
-		} else {
-			ins.Cap[b] = totalWeight // remote holds everyone
-		}
-	}
-	surcharge := func(i, k int) float64 {
-		if opts.CongestionBlind {
-			return m.CongestionCoeff(i) * m.CongestionLevel(1)
-		}
-		return marginalCongestion(m, i, k)
-	}
-	for l := 0; l < n; l++ {
-		ins.Cost[l] = make([]float64, bins)
-		ins.Weight[l] = make([]float64, bins)
-		for b := range binsMeta {
-			ins.Weight[l][b] = weights[l]
-			if i := binsMeta[b].cloudlet; i >= 0 {
-				ins.Cost[l][b] = m.BaseCost(l, i) + surcharge(i, binsMeta[b].slot)
-			} else {
+		ins.Cost[l] = make([]float64, len(capacity))
+		ins.Weight[l] = unit // read-only in the solver, so every item shares it
+		for b, i := range cloudletOf {
+			if i == mec.Remote {
 				ins.Cost[l][b] = m.RemoteCost(l)
+			} else {
+				ins.Cost[l][b] = m.BaseCost(l, i) + surcharge[b]
 			}
 		}
 	}
@@ -314,11 +293,7 @@ func approShmoysTardos(m *mec.Market, slots []int, opts ApproOptions) (mec.Place
 	}
 	placement := make(mec.Placement, n)
 	for l, b := range sol.Bin {
-		if i := binsMeta[b].cloudlet; i >= 0 {
-			placement[l] = i
-		} else {
-			placement[l] = mec.Remote
-		}
+		placement[l] = cloudletOf[b]
 	}
 	return placement, nil
 }

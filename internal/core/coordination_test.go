@@ -33,7 +33,7 @@ func TestAllStrategiesProduceValidResults(t *testing.T) {
 		if got := len(res.Coordinated); got != 25 {
 			t.Fatalf("%v coordinated %d providers, want 25", st, got)
 		}
-		if err := m.CheckCapacity(res.Placement, 0); err != nil {
+		if err := m.CheckCapacity(res.Placement); err != nil {
 			t.Fatalf("%v: %v", st, err)
 		}
 		// Coordinated providers must sit at their Appro strategies.

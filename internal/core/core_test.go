@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"mecache/internal/game"
 	"mecache/internal/mec"
+	"mecache/internal/rng"
+	"mecache/internal/topology"
 	"mecache/internal/workload"
 )
 
@@ -38,7 +41,7 @@ func TestApproTransportFeasible(t *testing.T) {
 			t.Fatalf("cloudlet %d holds %d services, slots allow %d", i, k, res.VirtualSlots[i])
 		}
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("Lemma 1 violated: %v", err)
 	}
 	if res.SocialCost <= 0 {
@@ -69,7 +72,7 @@ func TestApproFeasibilityProperty(t *testing.T) {
 				return false
 			}
 		}
-		return m.CheckCapacity(res.Placement, 0) == nil
+		return m.CheckCapacity(res.Placement) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -88,23 +91,73 @@ func TestApproShmoysTardosSmall(t *testing.T) {
 	if res.SolverUsed != SolverShmoysTardos {
 		t.Fatalf("solver used: %v", res.SolverUsed)
 	}
-	// The knapsack reduction may overload a virtual cloudlet additively;
-	// after merging, total load stays within n_i * max-demand slack. We
-	// assert the weaker but meaningful bound: within one extra service's
-	// demand per cloudlet.
-	aMax, bMax := m.MaxDemands()
-	slack := math.Max(aMax, bMax)
-	nc := m.Net.NumCloudlets()
-	compute := make([]float64, nc)
-	for l, s := range res.Placement {
-		if s != mec.Remote {
-			compute[s] += m.Providers[l].ComputeDemand()
+	// The unit-capacity reduction caches at most n_i services on CL_i, so
+	// the placement fits every capacity exactly (Lemma 1).
+	if err := m.CheckCapacity(res.Placement); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApproSolversAgree: on the unit-capacity reduction the Shmoys-Tardos
+// LP is integral, so its rounding is an optimum and must cost exactly what
+// the transport solve costs, across topologies, congestion models, the
+// remote option and congestion-blind pricing. Placements may differ on
+// ties, so only costs and capacity are compared.
+func TestApproSolversAgree(t *testing.T) {
+	r := rng.New(0x5a9e)
+	compared, disallowed := 0, 0
+	for trial := 0; trial < 24; trial++ {
+		cfg := workload.Default(r.Uint64())
+		cfg.NumProviders = r.IntRange(3, 20)
+		var m *mec.Market
+		var err error
+		if trial%2 == 0 {
+			m, err = workload.Generate(topology.AS1755(), cfg)
+		} else {
+			m, err = workload.GenerateGTITM(r.IntRange(20, 60), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%4 >= 2 {
+			if err := m.SetCongestionModel(mec.PolynomialCongestion{Degree: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, opts := range []ApproOptions{
+			{}, {CongestionBlind: true}, {DisallowRemote: true}, {DisallowRemote: true, CongestionBlind: true},
+		} {
+			tag := fmt.Sprintf("trial %d (%d providers, %d cloudlets, %+v)", trial, len(m.Providers), m.Net.NumCloudlets(), opts)
+			opts.Solver = SolverTransport
+			tr, trErr := Appro(m, opts)
+			opts.Solver = SolverShmoysTardos
+			st, stErr := Appro(m, opts)
+			if (trErr == nil) != (stErr == nil) {
+				t.Fatalf("%s: transport err %v, shmoys-tardos err %v", tag, trErr, stErr)
+			}
+			if trErr != nil {
+				continue // too few slots with remote disallowed, for both
+			}
+			if opts.DisallowRemote {
+				disallowed++
+			}
+			compared++
+			got, want := st.SocialCost, tr.SocialCost
+			if opts.CongestionBlind {
+				got, want = st.ReducedCost, tr.ReducedCost
+			}
+			if math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Fatalf("%s: shmoys-tardos %v, transport %v", tag, got, want)
+			}
+			for _, res := range []*ApproResult{tr, st} {
+				if err := m.CheckCapacity(res.Placement); err != nil {
+					t.Fatalf("%s %v: %v", tag, res.SolverUsed, err)
+				}
+			}
 		}
 	}
-	for i := range m.Net.Cloudlets {
-		if compute[i] > m.Net.Cloudlets[i].ComputeCap+float64(res.VirtualSlots[i])*slack+1e-6 {
-			t.Fatalf("cloudlet %d grossly overloaded", i)
-		}
+	if compared < 80 || disallowed < 20 {
+		t.Fatalf("compared %d solves (%d with remote disallowed); the markets no longer exercise the comparison", compared, disallowed)
 	}
 }
 
@@ -216,7 +269,7 @@ func TestLCFBasic(t *testing.T) {
 	if got := len(res.Coordinated); got != 42 {
 		t.Fatalf("coordinated %d providers, want 42 = floor(0.7*60)", got)
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("LCF placement violates capacity: %v", err)
 	}
 	// Coordinated providers must sit exactly where Appro put them.

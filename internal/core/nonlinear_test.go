@@ -149,7 +149,7 @@ func TestLCFUnderNonlinearCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mQuad.CheckCapacity(quad.Placement, 0); err != nil {
+	if err := mQuad.CheckCapacity(quad.Placement); err != nil {
 		t.Fatal(err)
 	}
 	maxLoad := func(m *mec.Market, pl mec.Placement) int {

@@ -192,11 +192,11 @@ const (
 	stateWaiting
 )
 
-// liveProvider is an active provider with its current strategy.
+// liveProvider is an active provider; its current strategy is the
+// simulator's placement entry at the same index.
 type liveProvider struct {
-	id     int
-	p      mec.Provider
-	choice int // cloudlet index or mec.Remote
+	id int
+	p  mec.Provider
 
 	// Failure-handling state (stateOK in fault-free runs).
 	state      pstate
@@ -309,12 +309,10 @@ func (s *Simulator) addProvider(p mec.Provider) (int, error) {
 // state in lockstep. Every strategy change in the simulator funnels through
 // here.
 func (s *Simulator) setChoice(idx, c int) {
-	lp := s.live[idx]
-	if lp.choice == c {
+	if s.pl[idx] == c {
 		return
 	}
-	s.ls.Move(idx, lp.choice, c)
-	lp.choice = c
+	s.ls.Move(idx, s.pl[idx], c)
 	s.pl[idx] = c
 }
 
@@ -369,7 +367,7 @@ func (s *Simulator) arrive() error {
 		return nil
 	}
 	p := s.cfg.Workload.DrawProvider(s.r, len(s.net.DCs), s.net.Topo.N())
-	lp := &liveProvider{id: s.nextID, p: p, choice: mec.Remote}
+	lp := &liveProvider{id: s.nextID, p: p}
 	s.nextID++
 	s.live = append(s.live, lp)
 	s.metrics.Arrivals++
@@ -789,7 +787,7 @@ func (s *Simulator) cloudletFail(i int) error {
 	s.failedCl[i] = true
 	s.metrics.CloudletOutages++
 	for idx, lp := range s.live {
-		if lp.choice == i {
+		if s.pl[idx] == i {
 			s.beginFailover(idx, lp, i)
 		}
 	}
@@ -863,7 +861,7 @@ func (s *Simulator) resolveFailover(id, source, seq int) error {
 func (s *Simulator) replace(idx int, lp *liveProvider) error {
 	s.setChoice(idx, BestResponseWithLoads(s.ls, s.pl, idx, s.failedCl, nil))
 	lp.state = stateOK
-	if lp.choice != mec.Remote {
+	if s.pl[idx] != mec.Remote {
 		s.metrics.MigrationCost += lp.p.InstCost
 		s.metrics.FailoverReplacements++
 	}
@@ -936,8 +934,8 @@ func (s *Simulator) recordRecovery(lp *liveProvider) {
 // cachedCount counts live providers currently cached at a cloudlet.
 func (s *Simulator) cachedCount() int {
 	n := 0
-	for _, lp := range s.live {
-		if lp.choice != mec.Remote {
+	for _, c := range s.pl {
+		if c != mec.Remote {
 			n++
 		}
 	}
@@ -964,7 +962,7 @@ func (s *Simulator) instanceCrash() error {
 	}
 	var victims []int
 	for idx, lp := range s.live {
-		if lp.choice != mec.Remote && lp.state == stateOK {
+		if s.pl[idx] != mec.Remote && lp.state == stateOK {
 			victims = append(victims, idx)
 		}
 	}

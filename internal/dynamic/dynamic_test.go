@@ -162,7 +162,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		if m == nil {
 			return true // nobody active at the horizon
 		}
-		return m.CheckCapacity(pl, 0) == nil
+		return m.CheckCapacity(pl) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 6}); err != nil {
 		t.Fatal(err)
@@ -411,9 +411,9 @@ func TestFaultPoliciesRun(t *testing.T) {
 				t.Fatalf("mean time to recover %v below the detection delay", m.MeanTimeToRecover)
 			}
 			// No surviving provider may sit on a failed cloudlet.
-			for _, lp := range sim.live {
-				if lp.choice != mec.Remote && sim.failedCl[lp.choice] {
-					t.Fatalf("provider %d still cached at failed cloudlet %d", lp.id, lp.choice)
+			for idx, c := range sim.pl {
+				if c != mec.Remote && sim.failedCl[c] {
+					t.Fatalf("provider %d still cached at failed cloudlet %d", sim.live[idx].id, c)
 				}
 			}
 		})

@@ -291,9 +291,8 @@ func (g *Game) extremeNash(base mec.Placement, r *rng.Source, restarts, maxRound
 	seed := r.Uint64()
 
 	// Reject capacity-infeasible "equilibria" (Eq. 4/5) only when the
-	// pinned base load is itself feasible: Appro's Shmoys-Tardos path may
-	// overload a cloudlet (its additive guarantee), and the selfish players
-	// cannot undo the leader's overload.
+	// pinned base load is itself feasible: a caller may pin an overloaded
+	// base, and the selfish players cannot undo the leader's overload.
 	checkFeasible := g.CapacityAware && g.pinnedFeasible(base)
 
 	type candidate struct {
@@ -312,7 +311,7 @@ func (g *Game) extremeNash(base mec.Placement, r *rng.Source, restarts, maxRound
 			cost:     g.Market.SocialCost(res.Placement),
 			feasible: true,
 		}
-		if checkFeasible && g.Market.CheckCapacity(res.Placement, 0) != nil {
+		if checkFeasible && g.Market.CheckCapacity(res.Placement) != nil {
 			c.feasible = false
 		}
 		return c, nil
@@ -343,17 +342,17 @@ func (g *Game) pinnedFeasible(base mec.Placement) bool {
 			pinnedOnly[l] = mec.Remote
 		}
 	}
-	return g.Market.CheckCapacity(pinnedOnly, 0) == nil
+	return g.Market.CheckCapacity(pinnedOnly) == nil
 }
 
 // randomInit draws a random start for one restart: pinned players keep
 // their base strategies; every other player picks uniformly among Remote
 // and — when CapacityAware — the cloudlets that still fit it given the
 // players drawn so far, falling back to Remote when nothing fits. This
-// keeps every start capacity-feasible (modulo a pinned overload), so an
-// overloaded tenant too expensive to evict can never masquerade as part of
-// an equilibrium. Without CapacityAware the draw is uniform over all
-// strategies.
+// keeps every start capacity-feasible (modulo an overload the caller
+// pinned), so an overloaded tenant too expensive to evict can never
+// masquerade as part of an equilibrium. Without CapacityAware the draw is
+// uniform over all strategies.
 func (g *Game) randomInit(base mec.Placement, r *rng.Source) mec.Placement {
 	init := base.Clone()
 	nc := g.Market.Net.NumCloudlets()

@@ -89,7 +89,7 @@ func TestDynamicsConvergeToNash(t *testing.T) {
 	if !g.IsNash(res.Placement) {
 		t.Fatal("converged placement is not a Nash equilibrium")
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("NE violates capacities: %v", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestExactOptimumSmall(t *testing.T) {
 	if cost > m.SocialCost(allRemote(m))+1e-9 {
 		t.Fatal("exact optimum worse than all-remote")
 	}
-	if err := m.CheckCapacity(pl, 0); err != nil {
+	if err := m.CheckCapacity(pl); err != nil {
 		t.Fatalf("optimum violates capacity: %v", err)
 	}
 }
@@ -281,7 +281,7 @@ func TestRealWorkloadDynamics(t *testing.T) {
 	if !g.IsNash(res.Placement) {
 		t.Fatal("workload dynamics did not reach Nash")
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("capacity violated: %v", err)
 	}
 	// Selfish caching should beat everyone-remote in social cost here (the

@@ -88,14 +88,14 @@ func TestExtremeNashEquilibriaAreCapacityFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CheckCapacity(worst, 0); err != nil {
+		if err := m.CheckCapacity(worst); err != nil {
 			t.Fatalf("seed %d: worst NE violates capacity: %v", seed, err)
 		}
 		best, _, err := g.BestNashSocialCost(allRemote(m), rng.New(seed), 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CheckCapacity(best, 0); err != nil {
+		if err := m.CheckCapacity(best); err != nil {
 			t.Fatalf("seed %d: best NE violates capacity: %v", seed, err)
 		}
 	}
@@ -113,15 +113,15 @@ func TestStuckOverloadWouldNotMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err == nil {
+	if err := m.CheckCapacity(res.Placement); err == nil {
 		t.Skip("market no longer reproduces the stuck overload; tighten tightMarket")
 	}
 }
 
 // TestExtremeNashToleratesInfeasiblePinnedBase: when the leader's pinned
-// strategies already overload a cloudlet (Shmoys-Tardos' additive overload
-// can do this), the search must not reject every equilibrium — the selfish
-// players cannot undo the leader's overload.
+// strategies already overload a cloudlet (a caller may pin any base), the
+// search must not reject every equilibrium — the selfish players cannot
+// undo the leader's overload.
 func TestExtremeNashToleratesInfeasiblePinnedBase(t *testing.T) {
 	m := tightMarket(t, 4)
 	g := New(m)

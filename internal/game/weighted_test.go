@@ -113,7 +113,7 @@ func TestWeightedDynamicsConverge(t *testing.T) {
 	if !g.IsNash(res.Placement) {
 		t.Fatal("weighted equilibrium fails the Nash check")
 	}
-	if err := m.CheckCapacity(res.Placement, 0); err != nil {
+	if err := m.CheckCapacity(res.Placement); err != nil {
 		t.Fatalf("capacity violated: %v", err)
 	}
 }

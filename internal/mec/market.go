@@ -579,10 +579,8 @@ func (m *Market) GroupCost(pl Placement, members []int) float64 {
 }
 
 // CheckCapacity verifies the computing and bandwidth capacity constraints
-// of every cloudlet under pl (Section II-F). slackFactor inflates the
-// capacities multiplicatively: 0 checks them exactly, and the
-// Shmoys-Tardos additive overload is expressed by the caller as a factor.
-func (m *Market) CheckCapacity(pl Placement, slackFactor float64) error {
+// of every cloudlet under pl (Section II-F).
+func (m *Market) CheckCapacity(pl Placement) error {
 	nc := m.Net.NumCloudlets()
 	compute := make([]float64, nc)
 	bandwidth := make([]float64, nc)
@@ -596,10 +594,10 @@ func (m *Market) CheckCapacity(pl Placement, slackFactor float64) error {
 	}
 	for i := range m.Net.Cloudlets {
 		cl := &m.Net.Cloudlets[i]
-		if compute[i] > cl.ComputeCap*(1+slackFactor)+1e-9 {
+		if compute[i] > cl.ComputeCap+1e-9 {
 			return fmt.Errorf("mec: cloudlet %d compute overloaded: %v > %v", i, compute[i], cl.ComputeCap)
 		}
-		if bandwidth[i] > cl.BandwidthCap*(1+slackFactor)+1e-9 {
+		if bandwidth[i] > cl.BandwidthCap+1e-9 {
 			return fmt.Errorf("mec: cloudlet %d bandwidth overloaded: %v > %v", i, bandwidth[i], cl.BandwidthCap)
 		}
 	}

@@ -3,7 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"net/http"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -245,6 +248,58 @@ func (r *SpanRing) Snapshot(n int, trace string, minDur float64) []Span {
 		out = out[:n]
 	}
 	return out
+}
+
+// ServeHTTP serves the last-N completed spans, newest-started first, as
+// the daemon's and the tenant registry's span endpoints. Query parameters:
+// n caps the count (default 64; 0 means every retained span), trace keeps
+// only one trace ID, min_dur keeps spans at least that many seconds long.
+// In the envelope, count is the effective size after clamping and
+// filtering, capacity the ring's retention, highWater the last span ID
+// ever started, recorded the completed-span total — so a client can tell
+// "clamped" from "that is all there was".
+func (r *SpanRing) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if !r.Enabled() {
+		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "spans": []Span{}})
+		return
+	}
+	query := req.URL.Query()
+	n := 64
+	if q := query.Get("n"); q != "" {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 0 {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad n: " + q})
+			return
+		}
+		n = v
+	}
+	minDur := 0.0
+	if q := query.Get("min_dur"); q != "" {
+		v, err := strconv.ParseFloat(q, 64)
+		if err != nil || math.IsNaN(v) || v < 0 {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad min_dur: " + q})
+			return
+		}
+		minDur = v
+	}
+	spans := r.Snapshot(n, query.Get("trace"), minDur)
+	if spans == nil {
+		spans = []Span{}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"enabled":   true,
+		"count":     len(spans),
+		"capacity":  r.Cap(),
+		"highWater": r.HighWater(),
+		"recorded":  r.Recorded(),
+		"spans":     spans,
+	})
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // MintTraceID derives a 32-hex-character W3C trace ID from two words. It

@@ -590,7 +590,7 @@ func (s *Server) buildMux() {
 	route("DELETE /v1/providers/{id}", s.handleDepart)
 	route("GET /v1/placements", s.handlePlacements)
 	route("GET /v1/market", s.handleMarket)
-	route("GET /v1/debug/spans", s.handleSpans)
+	route("GET /v1/debug/spans", s.spans.ServeHTTP)
 	route("POST /v1/admin/fail", s.handleFail)
 	route("POST /v1/admin/epoch", s.handleEpoch)
 	route("POST /v1/admin/snapshot", s.handleSnapshot)
@@ -736,50 +736,6 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		}
 		s.log.Log(r.Context(), lvl, "http request", args...)
 	}
-}
-
-// handleSpans serves the last-N completed lifecycle spans, newest-started
-// first. Query parameters: n caps the count (default 64; 0 means every
-// retained span), trace keeps only one trace ID, min_dur keeps spans at
-// least that many seconds long. In the envelope, count is the effective
-// size after clamping and filtering, capacity the ring's retention,
-// highWater the last span ID ever started, recorded the completed-span
-// total — so a client can tell "clamped" from "that is all there was".
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	if !s.spans.Enabled() {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "spans": []obs.Span{}})
-		return
-	}
-	n := 64
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad n: " + q})
-			return
-		}
-		n = v
-	}
-	minDur := 0.0
-	if q := r.URL.Query().Get("min_dur"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || math.IsNaN(v) || v < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad min_dur: " + q})
-			return
-		}
-		minDur = v
-	}
-	spans := s.spans.Snapshot(n, r.URL.Query().Get("trace"), minDur)
-	if spans == nil {
-		spans = []obs.Span{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":   true,
-		"count":     len(spans),
-		"capacity":  s.spans.Cap(),
-		"highWater": s.spans.HighWater(),
-		"recorded":  s.spans.Recorded(),
-		"spans":     spans,
-	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

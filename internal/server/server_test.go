@@ -54,7 +54,7 @@ func drawProvider(cfg Config, v *View, seed uint64, i int) mec.Provider {
 	return wl.DrawProvider(rng.Substream(seed, uint64(i)), v.NumDCs, v.NumNodes)
 }
 
-func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
+func postJSON(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
@@ -89,7 +89,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 	return resp
 }
 
-func admit(t *testing.T, ts *httptest.Server, p mec.Provider) admitResponse {
+func admit(t testing.TB, ts *httptest.Server, p mec.Provider) admitResponse {
 	t.Helper()
 	resp, data := postJSON(t, ts.URL+"/v1/providers", p)
 	if resp.StatusCode != http.StatusCreated {

@@ -23,7 +23,6 @@ import (
 	"net/http/pprof"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -496,55 +495,15 @@ func (r *Registry) buildMux() {
 	})
 	// Registry-level lifecycle spans (hydrations, evictions). Like /metrics
 	// and /healthz this never pins or rehydrates a tenant — observing the
-	// registry must not change which tenants are resident.
-	mux.HandleFunc("GET /debug/spans", r.handleSpans)
+	// registry must not change which tenants are resident. It serves the
+	// same query parameters and envelope as /v1/debug/spans.
+	mux.Handle("GET /debug/spans", r.spans)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	r.mux = mux
-}
-
-// handleSpans serves the registry's own lifecycle spans (tenant hydration
-// and eviction), newest-started first, with the same query parameters and
-// envelope as the per-tenant /v1/debug/spans endpoint.
-func (r *Registry) handleSpans(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if !r.spans.Enabled() {
-		_ = json.NewEncoder(w).Encode(map[string]any{"enabled": false, "spans": []obs.Span{}})
-		return
-	}
-	n := 64
-	if q := req.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad n: "+q)
-			return
-		}
-		n = v
-	}
-	minDur := 0.0
-	if q := req.URL.Query().Get("min_dur"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad min_dur: "+q)
-			return
-		}
-		minDur = v
-	}
-	spans := r.spans.Snapshot(n, req.URL.Query().Get("trace"), minDur)
-	if spans == nil {
-		spans = []obs.Span{}
-	}
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"enabled":   true,
-		"count":     len(spans),
-		"capacity":  r.spans.Cap(),
-		"highWater": r.spans.HighWater(),
-		"recorded":  r.spans.Recorded(),
-		"spans":     spans,
-	})
 }
 
 // serveTenant pins tenant id for the duration of one request and forwards

@@ -543,3 +543,62 @@ func TestRegistrySpansDisabled(t *testing.T) {
 		t.Fatalf("disabled registry ring still serves spans: %+v", sr)
 	}
 }
+
+// TestSpansEndpointsAgree drives the registry's GET /debug/spans and a
+// tenant daemon's GET /v1/t/{tenant}/debug/spans with the same n and
+// min_dur values: both must answer with the same status and content type,
+// the same envelope fields, and byte-identical error bodies.
+func TestSpansEndpointsAgree(t *testing.T) {
+	tpl := testTemplate(3)
+	tpl.WALDir = filepath.Join(t.TempDir(), "wal")
+	r, ts := startRegistry(t, Config{Template: tpl})
+	if _, err := r.Tenant("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query  string
+		status int
+	}{
+		{"n=NaN", http.StatusBadRequest},
+		{"n=-1", http.StatusBadRequest},
+		{"n=x", http.StatusBadRequest},
+		{"n=%3Cx%3E", http.StatusBadRequest},
+		{"n=0", http.StatusOK},
+		{"min_dur=NaN", http.StatusBadRequest},
+		{"min_dur=-1", http.StatusBadRequest},
+		{"min_dur=x", http.StatusBadRequest},
+		{"min_dur=0", http.StatusOK},
+	} {
+		regResp, regBody := get(t, ts.URL+"/debug/spans?"+tc.query)
+		tenResp, tenBody := get(t, ts.URL+"/v1/t/alpha/debug/spans?"+tc.query)
+		for route, resp := range map[string]*http.Response{"registry": regResp, "tenant": tenResp} {
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s ?%s: status %d, want %d", route, tc.query, resp.StatusCode, tc.status)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("%s ?%s: Content-Type %q", route, tc.query, ct)
+			}
+		}
+		if tc.status != http.StatusOK {
+			if !bytes.Equal(regBody, tenBody) {
+				t.Errorf("?%s: error bodies differ:\nregistry %q\ntenant   %q", tc.query, regBody, tenBody)
+			}
+			continue
+		}
+		var regEnv, tenEnv map[string]json.RawMessage
+		if err := json.Unmarshal(regBody, &regEnv); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(tenBody, &tenEnv); err != nil {
+			t.Fatal(err)
+		}
+		if len(regEnv) != len(tenEnv) {
+			t.Errorf("?%s: envelope fields differ: %s vs %s", tc.query, regBody, tenBody)
+		}
+		for k := range regEnv {
+			if _, ok := tenEnv[k]; !ok {
+				t.Errorf("?%s: tenant envelope lacks %q", tc.query, k)
+			}
+		}
+	}
+}
