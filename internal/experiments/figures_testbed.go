@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mecache/internal/baselines"
-	"mecache/internal/core"
-	"mecache/internal/mec"
 	"mecache/internal/stats"
 	"mecache/internal/testbed"
 )
@@ -17,70 +14,36 @@ type testbedOutcome struct {
 	MeanLatencyMs float64
 }
 
-// runAllTestbed deploys and measures the three algorithms on an assembled
-// test-bed. Social cost is the value measured from the deployment
-// artifacts (which the testbed tests prove equals the analytic cost);
-// Seconds includes algorithm time plus deployment (flow-rule installation).
+// runAllTestbed runs the three algorithms on an assembled test-bed through
+// RunAll, then deploys and measures each placement. Social cost is the value
+// measured from the deployment artifacts (which the testbed tests prove
+// equals the analytic cost); Seconds is the algorithm's RunAll time plus
+// deployment (flow-rule installation).
 func runAllTestbed(tb *testbed.Testbed, xi float64, seed uint64) (map[string]testbedOutcome, error) {
-	m := tb.Market
-	out := make(map[string]testbedOutcome, 3)
-
-	type algoRun struct {
-		name string
-		run  func() (mec.Placement, error)
+	// Untimed warm-up run: the first invocation pays one-off costs
+	// (allocator and heap growth, cold caches) that would otherwise distort
+	// the running-time panels.
+	if _, err := RunAll(tb.Market, xi, seed); err != nil {
+		return nil, err
 	}
-	runs := []algoRun{
-		{AlgoLCF, func() (mec.Placement, error) {
-			r, err := core.LCF(m, core.LCFOptions{Xi: xi, Seed: seed, Appro: core.ApproOptions{Solver: core.SolverTransport}})
-			if err != nil {
-				return nil, err
-			}
-			return r.Placement, nil
-		}},
-		{AlgoJoOffloadCache, func() (mec.Placement, error) {
-			r, err := baselines.JoOffloadCache(m, seed)
-			if err != nil {
-				return nil, err
-			}
-			return r.Placement, nil
-		}},
-		{AlgoOffloadCache, func() (mec.Placement, error) {
-			r, err := baselines.OffloadCache(m)
-			if err != nil {
-				return nil, err
-			}
-			return r.Placement, nil
-		}},
+	runs, err := RunAll(tb.Market, xi, seed)
+	if err != nil {
+		return nil, err
 	}
-	for _, ar := range runs {
-		// Untimed warm-up run: the first invocation pays one-off costs
-		// (hop-cache fills, allocator warm-up) that would otherwise distort
-		// the running-time panels.
-		if _, err := ar.run(); err != nil {
-			return nil, fmt.Errorf("experiments: testbed %s: %w", ar.name, err)
-		}
+	out := make(map[string]testbedOutcome, len(runs))
+	for name, o := range runs {
 		start := time.Now()
-		pl, err := ar.run()
+		dep, err := tb.Deploy(o.Placement)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: testbed %s: %w", ar.name, err)
+			return nil, fmt.Errorf("experiments: deploy %s: %w", name, err)
 		}
-		dep, err := tb.Deploy(pl)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: deploy %s: %w", ar.name, err)
-		}
-		seconds := time.Since(start).Seconds()
+		o.Seconds += time.Since(start).Seconds()
 		meas, err := tb.Measure(dep, seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: measure %s: %w", ar.name, err)
+			return nil, fmt.Errorf("experiments: measure %s: %w", name, err)
 		}
-		out[ar.name] = testbedOutcome{
-			AlgoOutcome: AlgoOutcome{
-				Placement: pl,
-				Social:    meas.MeasuredSocialCost,
-				Seconds:   seconds,
-			},
-			MeanLatencyMs: meas.MeanLatencyMs,
-		}
+		o.Social = meas.MeasuredSocialCost
+		out[name] = testbedOutcome{AlgoOutcome: o, MeanLatencyMs: meas.MeanLatencyMs}
 	}
 	return out, nil
 }
@@ -93,8 +56,8 @@ func testbedAverage(reps int, xi float64, build func(rep int) testbed.Config) (m
 	if reps < 1 {
 		reps = 1
 	}
-	type sample struct{ social, seconds, latency []float64 }
-	acc := make(map[string]*sample, 3)
+	runs := make([]map[string]AlgoOutcome, 0, reps)
+	latency := make(map[string][]float64, 3)
 	for rep := 0; rep < reps; rep++ {
 		tcfg := build(rep)
 		tb, err := testbed.New(tcfg)
@@ -105,31 +68,20 @@ func testbedAverage(reps int, xi float64, build func(rep int) testbed.Config) (m
 		if err != nil {
 			return nil, nil, err
 		}
+		run := make(map[string]AlgoOutcome, len(out))
 		for name, o := range out {
-			sm, ok := acc[name]
-			if !ok {
-				sm = &sample{}
-				acc[name] = sm
-			}
-			sm.social = append(sm.social, o.Social)
-			sm.seconds = append(sm.seconds, o.Seconds)
-			sm.latency = append(sm.latency, o.MeanLatencyMs)
+			run[name] = o.AlgoOutcome
+			latency[name] = append(latency[name], o.MeanLatencyMs)
 		}
+		runs = append(runs, run)
 	}
-	mean = make(map[string]testbedOutcome, len(acc))
-	ci = make(map[string]testbedOutcome, len(acc))
-	for name, sm := range acc {
-		social := stats.Summarize(sm.social)
-		secs := stats.Summarize(sm.seconds)
-		lat := stats.Summarize(sm.latency)
-		mean[name] = testbedOutcome{
-			AlgoOutcome:   AlgoOutcome{Social: social.Mean, Seconds: secs.Mean},
-			MeanLatencyMs: lat.Mean,
-		}
-		ci[name] = testbedOutcome{
-			AlgoOutcome:   AlgoOutcome{Social: social.CI95(), Seconds: secs.CI95()},
-			MeanLatencyMs: lat.CI95(),
-		}
+	algoMean, algoCI := aggregateOutcomes(runs)
+	mean = make(map[string]testbedOutcome, len(algoMean))
+	ci = make(map[string]testbedOutcome, len(algoMean))
+	for name := range algoMean {
+		lat := stats.Summarize(latency[name])
+		mean[name] = testbedOutcome{AlgoOutcome: algoMean[name], MeanLatencyMs: lat.Mean}
+		ci[name] = testbedOutcome{AlgoOutcome: algoCI[name], MeanLatencyMs: lat.CI95()}
 	}
 	return mean, ci, nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func render(t *testing.T, r *Registry) string {
+func render(t testing.TB, r *Registry) string {
 	t.Helper()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -5,32 +5,36 @@ import (
 	"testing"
 )
 
+// parseRejectCases are malformed expositions the spec forbids, each with a
+// substring of the error ParseText must return. FuzzParseText seeds from
+// them too.
+var parseRejectCases = []struct {
+	name string
+	text string
+	want string // substring of the error
+}{
+	{"help without type", "# HELP a doc\n# HELP b doc\n", "HELP not followed by TYPE"},
+	{"help name mismatch", "# HELP a doc\n# TYPE b counter\n", "HELP for \"a\" followed by TYPE"},
+	{"trailing help", "# HELP a doc\n", "trailing HELP"},
+	{"bad type", "# TYPE a thing\n", "invalid type"},
+	{"duplicate family", "# TYPE a counter\na 1\n# TYPE a counter\na 2\n", "appears twice"},
+	{"stray comment", "# COMMENT hi\n", "unexpected comment"},
+	{"sample before type", "a 1\n", "sample before any TYPE"},
+	{"foreign sample", "# TYPE a counter\nb 1\n", "sample \"b\" under family \"a\""},
+	{"suffix on counter", "# TYPE a counter\na_sum 1\n", "under family"},
+	{"no value", "# TYPE a counter\na\n", "no space before value"},
+	{"bad value", "# TYPE a counter\na zero\n", "bad value"},
+	{"unterminated labels", "# TYPE a counter\na{x=\"1\" 1\n", "label without ="},
+	{"unterminated value", "# TYPE a counter\na{x=\"1\n", "unterminated label value"},
+	{"unquoted label", "# TYPE a counter\na{x=1} 1\n", "unquoted label value"},
+	{"bad escape", "# TYPE a counter\na{x=\"\\t\"} 1\n", "invalid escape"},
+	{"duplicate label", "# TYPE a counter\na{x=\"1\",x=\"2\"} 1\n", "duplicate label"},
+}
+
 // TestParseTextRejects pins the strictness contract: every malformed
 // exposition the spec forbids must return an error, never a partial parse.
 func TestParseTextRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		text string
-		want string // substring of the error
-	}{
-		{"help without type", "# HELP a doc\n# HELP b doc\n", "HELP not followed by TYPE"},
-		{"help name mismatch", "# HELP a doc\n# TYPE b counter\n", "HELP for \"a\" followed by TYPE"},
-		{"trailing help", "# HELP a doc\n", "trailing HELP"},
-		{"bad type", "# TYPE a thing\n", "invalid type"},
-		{"duplicate family", "# TYPE a counter\na 1\n# TYPE a counter\na 2\n", "appears twice"},
-		{"stray comment", "# COMMENT hi\n", "unexpected comment"},
-		{"sample before type", "a 1\n", "sample before any TYPE"},
-		{"foreign sample", "# TYPE a counter\nb 1\n", "sample \"b\" under family \"a\""},
-		{"suffix on counter", "# TYPE a counter\na_sum 1\n", "under family"},
-		{"no value", "# TYPE a counter\na\n", "no space before value"},
-		{"bad value", "# TYPE a counter\na zero\n", "bad value"},
-		{"unterminated labels", "# TYPE a counter\na{x=\"1\" 1\n", "label without ="},
-		{"unterminated value", "# TYPE a counter\na{x=\"1\n", "unterminated label value"},
-		{"unquoted label", "# TYPE a counter\na{x=1} 1\n", "unquoted label value"},
-		{"bad escape", "# TYPE a counter\na{x=\"\\t\"} 1\n", "invalid escape"},
-		{"duplicate label", "# TYPE a counter\na{x=\"1\",x=\"2\"} 1\n", "duplicate label"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseRejectCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseText(strings.NewReader(tc.text))
 			if err == nil {

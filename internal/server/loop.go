@@ -559,9 +559,12 @@ func (s *Server) failCmd(st *state, cloudlet int) cmdResult {
 	}}
 }
 
-// repairCmd brings a cloudlet back. Providers waiting for it fail back only
-// when the saving over staying remote beats their re-instantiation cost —
-// the same hysteresis the dynamic simulator applies.
+// repairCmd brings a cloudlet back. A provider waiting for it fails back
+// only when its best response, with failed cloudlets masked, is the repaired
+// cloudlet and the saving over staying remote beats its re-instantiation
+// cost; otherwise it stays remote. This is stricter than the dynamic
+// simulator's failback (Simulator.tryFailback), which needs only that the
+// provider fits and the saving beats the re-instantiation cost.
 func (s *Server) repairCmd(st *state, cloudlet int) cmdResult {
 	if cloudlet < 0 || cloudlet >= len(st.failed) {
 		return errorf(http.StatusBadRequest, "server: cloudlet %d outside [0,%d)", cloudlet, len(st.failed))

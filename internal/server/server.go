@@ -56,7 +56,8 @@ type Config struct {
 	// MaxActive caps concurrently active providers; 0 means unlimited.
 	// Admissions beyond the cap are rejected with 429.
 	MaxActive int
-	// Xi is the capacity slack factor passed to the epoch re-equilibration.
+	// Xi is ξ, the coordinated fraction of providers LCF places centrally
+	// at each epoch re-equilibration; the other 1-ξ play selfishly.
 	Xi float64
 	// EpochInterval is the wall-clock period of the re-equilibration ticker;
 	// 0 disables the ticker (epochs then run only via POST /v1/admin/epoch,

@@ -10,13 +10,14 @@ import (
 	"mecache/internal/sim"
 )
 
-// This file couples the fault injector into the test-bed's measurement
-// phase: underlay switches and links fail and repair *during* a measurement
-// run, transit re-routes around them (recomputePaths), and flows whose
-// installed path is currently dead retry with capped exponential backoff
-// instead of silently measuring a dead path. Consistency-update flows — the
-// cached-to-original traffic the paper prices — are simulated here too, so
-// their timeouts surface as violation counts.
+// This file holds the test-bed's one measurement replay. It can couple the
+// fault injector into the run: underlay switches and links then fail and
+// repair *during* the measurement, transit re-routes around them
+// (recomputePaths), and flows whose installed path is currently dead retry
+// with capped exponential backoff instead of silently measuring a dead path.
+// Consistency-update flows — the cached-to-original traffic the paper prices
+// — are replayed too, so their timeouts surface as violation counts. Measure
+// is the same replay with nothing injected.
 
 // FaultConfig parameterizes mid-measurement fault injection. Times are in
 // the measurement's virtual milliseconds.
@@ -114,12 +115,14 @@ type FaultMeasurement struct {
 	UpdatesDelivered int
 }
 
-// MeasureUnderFaults replays the deployment like Measure while the fault
+// MeasureUnderFaults replays the deployment in virtual time while the fault
 // injector fails and repairs underlay switches and links mid-run. Flows
 // that find their tunnel path dead retry with capped exponential backoff
 // (re-routing picks up whatever the underlay currently offers); flows that
-// exhaust their retries are reported as timeouts. The underlay is restored
-// to full health before returning, so the Testbed can be reused.
+// exhaust their retries are reported as timeouts. When fc injects faults the
+// underlay must start healthy and is restored to full health before
+// returning, so the Testbed can be reused; when it injects none the replay
+// never touches the underlay and measures it as it stands.
 func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConfig) (*FaultMeasurement, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("testbed: nil deployment")
@@ -127,15 +130,11 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 	if err := fc.Validate(); err != nil {
 		return nil, err
 	}
-	for s := range tb.Underlay.Switches {
-		if tb.Underlay.Failed(s) {
-			return nil, fmt.Errorf("testbed: fault measurement requires a healthy underlay (switch %d is down)", s)
-		}
-	}
+	injecting := fc.SwitchMTBFMs > 0 || fc.LinkMTBFMs > 0
 	links := tb.Underlay.Links()
-	for _, lk := range links {
-		if tb.Underlay.LinkFailed(lk[0], lk[1]) {
-			return nil, fmt.Errorf("testbed: fault measurement requires a healthy underlay (link %v is down)", lk)
+	if injecting {
+		if err := tb.checkHealthy("fault measurement requires a healthy underlay"); err != nil {
+			return nil, err
 		}
 	}
 
@@ -198,9 +197,11 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 		}
 	}
 
-	// Static contention model, identical to Measure: link shares are read
-	// off the healthy deployment (the installed tunnel routes), so retries
-	// under faults compare like-for-like with the fault-free run.
+	// Static contention model: every flow claims a fair share of each
+	// underlay link its tunnels cross, and its rate is its bottleneck
+	// share. Link load is counted once per tunnel traversal. Shares are read
+	// off the underlay as the run starts, so retries under faults compare
+	// like-for-like with the fault-free run.
 	linkFlows := make(map[[2]int]int)
 	flowLinks := make(map[int][][2]int, len(dep.Flows))
 	for fi, f := range dep.Flows {
@@ -228,6 +229,8 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 	if chunk <= 0 {
 		chunk = 1
 	}
+	// transferMs computes the time to move one interactive chunk at the
+	// flow's bottleneck fair share.
 	transferMs := func(fi int) float64 {
 		rate := intra
 		for _, lk := range flowLinks[fi] {
@@ -237,12 +240,11 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 				}
 			}
 		}
-		return chunk * 8 / 1000 / rate * 1000
+		return chunk * 8 / 1000 / rate * 1000 // MB -> Gb, / Gbps -> s, -> ms
 	}
 
 	var totalLatency, totalTransfer float64
 	for fi, f := range dep.Flows {
-		fi, f := fi, f
 		start := r.FloatRange(0, 10)
 		var attempt func(tries int, firstStart float64)
 		attempt = func(tries int, firstStart float64) {
@@ -277,14 +279,16 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 				if f.ServeCloudlet != mec.Remote {
 					lat += tb.cfg.CongestionMsPerTenant * float64(dep.TenantCount[f.ServeCloudlet])
 				} else {
+					// Remote service: the flow continues over the WAN
+					// backhaul to the actual remote cloud.
 					dc := &m.Net.DCs[m.Providers[f.Provider].HomeDC]
 					lat += tb.cfg.BackhaulMsPerHop * float64(dc.BackhaulHops)
 				}
 			}
-			done := kernel.Now() + lat
-			err := kernel.At(done, func() {
-				// End-to-end completion time, retry backoffs included.
-				total := done - firstStart
+			// End-to-end completion time, retry backoffs included; exactly
+			// lat for a flow that never retried.
+			total := lat + (kernel.Now() - firstStart)
+			err := kernel.At(kernel.Now()+lat, func() {
 				if f.Kind == RequestFlow {
 					fm.FlowsCompleted++
 					totalLatency += total
@@ -316,14 +320,9 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 	}
 	// Every injected failure schedules its own repair and the kernel ran
 	// dry, so the underlay must be healthy again; verify rather than trust.
-	for s := range tb.Underlay.Switches {
-		if tb.Underlay.Failed(s) {
-			return nil, fmt.Errorf("testbed: switch %d left failed after fault measurement", s)
-		}
-	}
-	for _, lk := range links {
-		if tb.Underlay.LinkFailed(lk[0], lk[1]) {
-			return nil, fmt.Errorf("testbed: link %v left failed after fault measurement", lk)
+	if injecting {
+		if err := tb.checkHealthy("underlay left unhealthy after fault measurement"); err != nil {
+			return nil, err
 		}
 	}
 	if swInj != nil {
@@ -340,4 +339,20 @@ func (tb *Testbed) MeasureUnderFaults(dep *Deployment, seed uint64, fc FaultConf
 	}
 	fm.MeasuredSocialCost = cost
 	return fm, nil
+}
+
+// checkHealthy reports the first failed switch or link of the underlay,
+// prefixed by what, or nil when the underlay is fully healthy.
+func (tb *Testbed) checkHealthy(what string) error {
+	for s := range tb.Underlay.Switches {
+		if tb.Underlay.Failed(s) {
+			return fmt.Errorf("testbed: %s (switch %d is down)", what, s)
+		}
+	}
+	for _, lk := range tb.Underlay.Links() {
+		if tb.Underlay.LinkFailed(lk[0], lk[1]) {
+			return fmt.Errorf("testbed: %s (link %v is down)", what, lk)
+		}
+	}
+	return nil
 }

@@ -95,6 +95,33 @@ func TestMeasureUnderFaultsNoFaultsMatchesMeasure(t *testing.T) {
 	}
 }
 
+// With nothing injected the replay never touches the underlay, so a
+// zero-fault measurement of a deployment on a switch failed beforehand is
+// accepted, leaves the switch failed, and is exactly Measure.
+func TestMeasureUnderFaultsNoFaultsOnFailedSwitch(t *testing.T) {
+	tb, dep := deployBed(t, 19)
+	if err := tb.Underlay.FailSwitch(1); err != nil {
+		t.Fatal(err)
+	}
+	fm, err := tb.MeasureUnderFaults(dep, 4, FaultConfig{})
+	if err != nil {
+		t.Fatalf("zero-fault measurement on a failed switch rejected: %v", err)
+	}
+	if !tb.Underlay.Failed(1) {
+		t.Fatal("zero-fault measurement restored the failed switch")
+	}
+	meas, err := tb.Measure(dep, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm.Measurement != *meas {
+		t.Fatalf("zero-fault measurement differs from Measure:\n%+v\n%+v", fm.Measurement, *meas)
+	}
+	if fm.FlowsUnreachable == 0 || fm.Retries != 0 {
+		t.Fatalf("failed switch 1: %d unreachable flows, %d retries", fm.FlowsUnreachable, fm.Retries)
+	}
+}
+
 func TestMeasureUnderFaultsDeterministic(t *testing.T) {
 	fc := DefaultFaultConfig(21)
 	fc.LinkMTBFMs = 25

@@ -6,8 +6,6 @@ import (
 
 	"mecache/internal/graph"
 	"mecache/internal/mec"
-	"mecache/internal/rng"
-	"mecache/internal/sim"
 	"mecache/internal/topology"
 	"mecache/internal/workload"
 )
@@ -241,127 +239,26 @@ type Measurement struct {
 	// and could not be delivered.
 	FlowsCompleted   int
 	FlowsUnreachable int
-	// VirtualDurationMs is the virtual time at which the last flow
-	// completed.
+	// VirtualDurationMs is the virtual time at which the last flow,
+	// request or consistency update, completed. Every flow in the
+	// deployment draws one start offset, in Deployment order.
 	VirtualDurationMs float64
 }
 
-// Measure replays the deployment in virtual time: each provider's request
-// flow starts at a seeded offset, traverses its installed tunnel path, pays
-// processing and congestion delay at the serving node, and completes. The
-// measured social cost is computed from installed path lengths and tenant
-// counts only.
+// Measure replays the deployment in virtual time with nothing injected:
+// it is MeasureUnderFaults with a zero FaultConfig. Each flow starts at a
+// seeded offset, traverses its installed tunnel path, and request flows pay
+// processing and congestion delay at the serving node. Measure never changes
+// the underlay, so it also measures a deployment on switches or links failed
+// beforehand: a request flow whose path crosses one counts as unreachable.
+// The measured social cost is computed from installed path lengths and
+// tenant counts only.
 func (tb *Testbed) Measure(dep *Deployment, seed uint64) (*Measurement, error) {
-	if dep == nil {
-		return nil, fmt.Errorf("testbed: nil deployment")
-	}
-	m := tb.Market
-	r := rng.New(seed)
-	kernel := sim.NewKernel()
-
-	meas := &Measurement{}
-	var totalLatency, totalTransfer float64
-
-	// Static contention model: every flow claims a fair share of each
-	// underlay link its tunnels cross; the flow's rate is its bottleneck
-	// share. Link load is counted once per tunnel traversal.
-	linkFlows := make(map[[2]int]int)
-	flowLinks := make(map[int][][2]int, len(dep.Flows))
-	for fi, f := range dep.Flows {
-		var links [][2]int
-		for i := 0; i+1 < len(f.Path); i++ {
-			sa := tb.Underlay.Servers[tb.HostServer[f.Path[i]]].Switch
-			sb := tb.Underlay.Servers[tb.HostServer[f.Path[i+1]]].Switch
-			links = append(links, tb.Underlay.PathLinks(sa, sb)...)
-		}
-		flowLinks[fi] = links
-		for _, lk := range links {
-			linkFlows[lk]++
-		}
-	}
-	for _, n := range linkFlows {
-		if n > meas.MaxLinkFlows {
-			meas.MaxLinkFlows = n
-		}
-	}
-	intra := tb.cfg.IntraServerGbps
-	if intra <= 0 {
-		intra = 10
-	}
-	chunk := tb.cfg.ChunkMB
-	if chunk <= 0 {
-		chunk = 1
-	}
-	// transferMs computes the time to move one interactive chunk at the
-	// flow's bottleneck fair share.
-	transferMs := func(fi int) float64 {
-		rate := intra
-		for _, lk := range flowLinks[fi] {
-			if n := linkFlows[lk]; n > 0 {
-				if share := tb.Underlay.LinkCapacityGbps(lk[0], lk[1]) / float64(n); share < rate {
-					rate = share
-				}
-			}
-		}
-		return chunk * 8 / 1000 / rate * 1000 // MB -> Gb, / Gbps -> s, -> ms
-	}
-
-	for fi, f := range dep.Flows {
-		if f.Kind != RequestFlow {
-			continue
-		}
-		// A path through a failed switch cannot be delivered at all; count
-		// it instead of simulating it.
-		if math.IsInf(tb.pathLatencyMs(f.Path), 1) {
-			meas.FlowsUnreachable++
-			continue
-		}
-		fi, f := fi, f
-		start := r.FloatRange(0, 10)
-		err := kernel.At(start, func() {
-			latency := tb.pathLatencyMs(f.Path)
-			transfer := transferMs(fi)
-			latency += transfer
-			latency += tb.cfg.ProcMsPerGB * f.VolumeGB / float64(m.Providers[f.Provider].Requests)
-			if f.ServeCloudlet != mec.Remote {
-				latency += tb.cfg.CongestionMsPerTenant * float64(dep.TenantCount[f.ServeCloudlet])
-			} else {
-				// Remote service: the flow continues over the WAN backhaul
-				// to the actual remote cloud.
-				dc := &m.Net.DCs[m.Providers[f.Provider].HomeDC]
-				latency += tb.cfg.BackhaulMsPerHop * float64(dc.BackhaulHops)
-			}
-			done := kernel.Now() + latency
-			_ = kernel.At(done, func() {
-				meas.FlowsCompleted++
-				totalLatency += latency
-				totalTransfer += transfer
-				if latency > meas.MaxLatencyMs {
-					meas.MaxLatencyMs = latency
-				}
-				if kernel.Now() > meas.VirtualDurationMs {
-					meas.VirtualDurationMs = kernel.Now()
-				}
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := kernel.Run(0); err != nil {
-		return nil, err
-	}
-	if meas.FlowsCompleted > 0 {
-		meas.MeanLatencyMs = totalLatency / float64(meas.FlowsCompleted)
-		meas.MeanTransferMs = totalTransfer / float64(meas.FlowsCompleted)
-	}
-
-	cost, err := tb.measuredCost(dep)
+	fm, err := tb.MeasureUnderFaults(dep, seed, FaultConfig{})
 	if err != nil {
 		return nil, err
 	}
-	meas.MeasuredSocialCost = cost
-	return meas, nil
+	return &fm.Measurement, nil
 }
 
 // measuredCost recomputes the social cost purely from deployment artifacts:
