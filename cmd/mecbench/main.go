@@ -17,7 +17,7 @@
 //	mecbench -bench-json BENCH_5.json    # measure and write the baseline
 //	mecbench -bench-check BENCH_5.json   # compare against the baseline
 //	mecbench -bench-check BENCH_5.json -bench-time 0s -bench-iters 1
-//	                                     # CI smoke: one timed op per case
+//	                                     # quickest check: 8 timed ops per case
 //
 // -bench-check judges engine-vs-naive nanosecond ratios (machine- and
 // race-detector-independent) and per-case allocation counts, never raw
@@ -55,7 +55,7 @@ func run(w io.Writer, args []string) error {
 	benchJSON := fs.String("bench-json", "", "measure the tracked benchmarks and write the baseline JSON to this path")
 	benchCheck := fs.String("bench-check", "", "measure the tracked benchmarks and compare against the baseline JSON at this path")
 	benchTime := fs.Duration("bench-time", time.Second, "minimum measured time per tracked benchmark")
-	benchIters := fs.Int("bench-iters", 0, "iteration cap per tracked benchmark (0 = until -bench-time)")
+	benchIters := fs.Int("bench-iters", 0, "iteration cap per tracked benchmark, never below 8 (0 = until -bench-time)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ const allocSlack = 16
 
 // warmEpochRatioCeiling bounds the ReequilibrateWarm/Reequilibrate time
 // ratio at the largest scale: an unchanged-market epoch, whose transport
-// solve takes the exact-hit path, must stay at least 5x faster than the
+// solve returns its kept result, must stay at least 5x faster than the
 // cold solve in the same run. Like the dynamics ceiling, the same-process
 // ratio is machine- and race-detector-independent.
 const warmEpochRatioCeiling = 0.2

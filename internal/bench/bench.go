@@ -132,8 +132,9 @@ func reequilibrateCase(sc scale, naive bool) Case {
 // reequilibrateWarmCase times the idle epoch: the exact Reequilibrate call
 // of Reequilibrate/<scale>, but carrying an EpochSolveState across
 // operations. The harness's warm-up op builds the transport solver, so
-// every timed op finds no row delta and takes the transport exact-hit
-// path; coordination and the best-response dynamics still run.
+// every timed op finds every row stamp in place and the transport solve
+// returns its kept result without touching the flow network; coordination
+// and the best-response dynamics still run.
 // mecbench -bench-check enforces the warm/cold time ratio at the largest
 // scale; the ratio is machine-independent because both cases run in the
 // same process.
@@ -410,10 +411,17 @@ type File struct {
 	Results []Result `json:"results"`
 }
 
+// minIters is the fewest timed operations Measure averages over, whatever
+// its time budget or iteration cap. A cold epoch under the race detector
+// can take longer than a smoke run's whole budget, and a time ratio over
+// one or two such operations is mostly scheduler noise.
+const minIters = 8
+
 // Measure times one case: a warm-up op, then batches of operations until
 // minDuration of measured time accumulates (or maxIters operations ran,
-// whichever comes first; maxIters <= 0 means unbounded). Allocations are
-// read from runtime.MemStats deltas around the timed region.
+// whichever comes first; maxIters <= 0 means unbounded), but never fewer
+// than minIters operations. Allocations are read from runtime.MemStats
+// deltas around the timed region.
 func Measure(c Case, minDuration time.Duration, maxIters int) (Result, error) {
 	op, err := c.Setup()
 	if err != nil {
@@ -421,6 +429,9 @@ func Measure(c Case, minDuration time.Duration, maxIters int) (Result, error) {
 	}
 	if err := op(); err != nil { // warm-up
 		return Result{}, fmt.Errorf("%s: warm-up: %w", c.Name, err)
+	}
+	if maxIters > 0 {
+		maxIters = max(maxIters, minIters)
 	}
 	var (
 		iters   int
@@ -442,7 +453,7 @@ func Measure(c Case, minDuration time.Duration, maxIters int) (Result, error) {
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - before
 		iters += batch
-		if elapsed >= minDuration || (maxIters > 0 && iters >= maxIters) {
+		if iters >= minIters && (elapsed >= minDuration || (maxIters > 0 && iters >= maxIters)) {
 			break
 		}
 		if batch < 1<<20 {
@@ -450,6 +461,9 @@ func Measure(c Case, minDuration time.Duration, maxIters int) (Result, error) {
 		}
 		if maxIters > 0 && iters+batch > maxIters {
 			batch = maxIters - iters
+		}
+		if elapsed >= minDuration {
+			batch = minIters - iters // only the iteration floor is left
 		}
 	}
 	return Result{

@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // BenchmarkTracked registers every tracked case as a sub-benchmark so the
@@ -61,6 +62,29 @@ func TestCasesWellFormed(t *testing.T) {
 		}
 		if err := op(); err != nil {
 			t.Fatalf("%s: op: %v", c.Name, err)
+		}
+	}
+}
+
+// TestMeasureIterationFloor pins the iteration floor: neither a spent time
+// budget nor a lower iteration cap cuts a measurement below minIters ops,
+// and a higher cap still bounds it.
+func TestMeasureIterationFloor(t *testing.T) {
+	ops := 0
+	c := Case{Name: "Count/1", Setup: func() (func() error, error) {
+		return func() error { ops++; return nil }, nil
+	}}
+	for _, tc := range []struct {
+		budget         time.Duration
+		maxIters, want int
+	}{{0, 1, minIters}, {0, 0, minIters}, {time.Hour, 1, minIters}, {time.Hour, 20, 20}} {
+		ops = 0
+		r, err := Measure(c, tc.budget, tc.maxIters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Iterations != tc.want || ops != tc.want+1 {
+			t.Fatalf("cap %d: %d timed ops (%d with the warm-up), want %d", tc.maxIters, r.Iterations, ops, tc.want)
 		}
 	}
 }

@@ -195,15 +195,15 @@ func approTransport(m *mec.Market, slots []int, opts ApproOptions) (mec.Placemen
 	if !opts.DisallowRemote {
 		bins++
 	}
-	base := make([][]float64, n)
-	for l := 0; l < n; l++ {
-		base[l] = make([]float64, bins)
-		for i := 0; i < nc; i++ {
-			base[l][i] = m.BaseCost(l, i)
+	// The market's own rows are the reduction's rows, remote cost last, and
+	// their stamps the row ids the warm solve pairs them by.
+	base, stamps := m.CostRows()
+	if opts.DisallowRemote {
+		views := make([][]float64, n)
+		for l, row := range base {
+			views[l] = row[:nc]
 		}
-		if !opts.DisallowRemote {
-			base[l][nc] = m.RemoteCost(l)
-		}
+		base = views
 	}
 	binSlots := make([]int, bins)
 	copy(binSlots, slots)
@@ -224,7 +224,7 @@ func approTransport(m *mec.Market, slots []int, opts ApproOptions) (mec.Placemen
 	if opts.State != nil {
 		ts = &opts.State.transport
 	}
-	sol, err := gap.SolveCongestionTransport(base, binSlots, marginal, ts)
+	sol, err := gap.SolveCongestionTransport(base, stamps, binSlots, marginal, ts)
 	if err != nil {
 		return nil, fmt.Errorf("core: transport reduction: %w", err)
 	}

@@ -11,10 +11,14 @@ import "mecache/internal/gap"
 // slot count or congestion chain moved. Coordination and the
 // best-response dynamics always run.
 //
-// The zero value is ready to use. A state belongs to one logical market
-// stream (e.g. one dynamic.Simulator, one daemon tenant); sharing it across
-// markets is safe (the solver rebuilds) but pointless. It is not safe for
-// concurrent use.
+// The solver pairs the reduction's rows with the kept ones by the market's
+// row stamps (mec.Market.CostRows), which are unique across every market
+// of the process. The zero value is ready to use. A state belongs to one
+// logical market stream (e.g. one dynamic.Simulator, one daemon tenant);
+// sharing it across markets is safe but pointless: another market's rows
+// pair with none of the kept ones, so the solve cancels every kept row and
+// adds every new one (or rebuilds, when the slot split differs). It is
+// not safe for concurrent use.
 type EpochSolveState struct {
 	transport gap.TransportState
 

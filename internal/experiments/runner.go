@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"mecache/internal/baselines"
@@ -35,8 +36,10 @@ type AlgoOutcome struct {
 
 // RunAll executes the three algorithms on the market with the given
 // coordinated fraction ξ and returns per-algorithm outcomes keyed by name.
-// The algorithms run serially, so the per-algorithm Seconds timings are
-// uncontended (the quantity Figs. 2(d)/3(d) plot).
+// The algorithms run serially, each after an untimed garbage collection,
+// so every per-algorithm Seconds timing covers that algorithm alone (the
+// quantity Figs. 2(d)/3(d) plot), not the collection of an earlier one's
+// garbage.
 func RunAll(m *mec.Market, xi float64, seed uint64) (map[string]AlgoOutcome, error) {
 	return RunAllParallel(m, xi, seed, 1)
 }
@@ -57,6 +60,9 @@ func RunAllParallel(m *mec.Market, xi float64, seed uint64, workers int) (map[st
 		offSeconds float64
 	)
 	err := parallel.Run(workers, 3, func(i int) error {
+		if workers == 1 {
+			runtime.GC()
+		}
 		start := time.Now()
 		switch i {
 		case 0:

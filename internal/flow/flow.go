@@ -100,7 +100,12 @@ func (g *Network) AddNode() int {
 		g.pot[v] = 0
 		return v
 	}
-	g.heads = append(g.heads, nil)
+	if g.n < cap(g.heads) { // keep the adjacency buffer a Reset cut off
+		g.heads = g.heads[:g.n+1]
+		g.heads[g.n] = g.heads[g.n][:0]
+	} else {
+		g.heads = append(g.heads, nil)
+	}
 	g.pot = append(g.pot, 0)
 	g.n++
 	return g.n - 1

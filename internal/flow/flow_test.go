@@ -145,6 +145,36 @@ func TestAddNode(t *testing.T) {
 	mustArc(t, g, 0, 1, 1, 0)
 }
 
+// TestResetReusesAdjacency pins Reset's promise for nodes added after it:
+// rebuilding the same network (a few fixed nodes, then one added node per
+// item with an arc to each of them, as the warm transport solver rebuilds
+// its reduction) allocates nothing, and the rebuilt network starts empty.
+func TestResetReusesAdjacency(t *testing.T) {
+	const bins, items = 4, 6
+	g := NewNetwork(bins)
+	build := func() {
+		g.Reset(bins)
+		for j := 0; j < items; j++ {
+			v := g.AddNode()
+			for b := 0; b < bins; b++ {
+				g.AddArc(v, b, 1, float64(b))
+			}
+		}
+	}
+	build()
+	if allocs := testing.AllocsPerRun(20, build); allocs != 0 {
+		t.Fatalf("rebuilding after Reset allocated %v times", allocs)
+	}
+	if nodes, arcs := g.Live(); nodes != bins+items || arcs != bins*items {
+		t.Fatalf("rebuilt network has %d nodes and %d arcs, want %d and %d", nodes, arcs, bins+items, bins*items)
+	}
+	for v := bins; v < bins+items; v++ {
+		if len(g.Out(v)) != bins {
+			t.Fatalf("node %d has %d arcs after the rebuild, want %d", v, len(g.Out(v)), bins)
+		}
+	}
+}
+
 // TestTransportationRandom: on random transportation instances the
 // min-cost-flow optimum must be at least as good as any greedy feasible
 // shipment and must ship the full demand when supply suffices.

@@ -12,7 +12,7 @@ func TestCongestionTransportFillsCheapSlotsFirst(t *testing.T) {
 	// One bin, marginal cost 1, 3, 5 (affine congestion 2k-1); three items
 	// with base cost 0. Total = 1+3+5 = 9 = 3^2.
 	base := [][]float64{{0}, {0}, {0}}
-	sol, err := SolveCongestionTransport(base, []int{3}, func(_, k int) float64 {
+	sol, err := SolveCongestionTransport(base, nil, []int{3}, func(_, k int) float64 {
 		return float64(2*k - 1)
 	}, nil)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestCongestionTransportSpreadsLoad(t *testing.T) {
 	for j := range base {
 		base[j] = []float64{0, 0}
 	}
-	sol, err := SolveCongestionTransport(base, []int{4, 4}, func(_, k int) float64 {
+	sol, err := SolveCongestionTransport(base, nil, []int{4, 4}, func(_, k int) float64 {
 		return float64(2*k - 1)
 	}, nil)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestCongestionTransportObjectiveEqualsRecomputedSocial(t *testing.T) {
 		if total < n {
 			slots[0] += n - total
 		}
-		sol, err := SolveCongestionTransport(base, slots, func(i, k int) float64 {
+		sol, err := SolveCongestionTransport(base, nil, slots, func(i, k int) float64 {
 			return coeff[i] * float64(2*k-1)
 		}, nil)
 		if err != nil {
@@ -119,7 +119,7 @@ func TestCongestionTransportOptimality(t *testing.T) {
 			coeff[i] = r.FloatRange(0, 2)
 			slots[i] = n // no scarcity; congestion alone limits packing
 		}
-		sol, err := SolveCongestionTransport(base, slots, func(i, k int) float64 {
+		sol, err := SolveCongestionTransport(base, nil, slots, func(i, k int) float64 {
 			return coeff[i] * float64(2*k-1)
 		}, nil)
 		if err != nil {
@@ -159,31 +159,31 @@ func TestCongestionTransportOptimality(t *testing.T) {
 }
 
 func TestCongestionTransportValidation(t *testing.T) {
-	if _, err := SolveCongestionTransport([][]float64{{0}, {0}}, []int{1}, nil, nil); err == nil {
+	if _, err := SolveCongestionTransport([][]float64{{0}, {0}}, nil, []int{1}, nil, nil); err == nil {
 		t.Fatal("insufficient slots not detected")
 	}
-	if _, err := SolveCongestionTransport([][]float64{{0, 0}}, []int{-1, 2}, nil, nil); err == nil {
+	if _, err := SolveCongestionTransport([][]float64{{0, 0}}, nil, []int{-1, 2}, nil, nil); err == nil {
 		t.Fatal("negative slot count not detected")
 	}
 	// Decreasing marginal cost must be rejected (the decomposition would be
 	// wrong for concave congestion).
-	if _, err := SolveCongestionTransport([][]float64{{0}}, []int{2}, func(_, k int) float64 {
+	if _, err := SolveCongestionTransport([][]float64{{0}}, nil, []int{2}, func(_, k int) float64 {
 		return float64(-k)
 	}, nil); err == nil {
 		t.Fatal("decreasing marginal cost accepted")
 	}
 	// Nil marginal means zero congestion: plain transport.
-	sol, err := SolveCongestionTransport([][]float64{{2, 1}}, []int{1, 1}, nil, nil)
+	sol, err := SolveCongestionTransport([][]float64{{2, 1}}, nil, []int{1, 1}, nil, nil)
 	if err != nil || sol.Cost != 1 {
 		t.Fatalf("nil marginal: %v %v", sol, err)
 	}
 	// Empty instance.
-	empty, err := SolveCongestionTransport(nil, []int{1}, nil, nil)
+	empty, err := SolveCongestionTransport(nil, nil, []int{1}, nil, nil)
 	if err != nil || empty.Cost != 0 {
 		t.Fatalf("empty: %v %v", empty, err)
 	}
 	// Forbidden pairs.
-	if _, err := SolveCongestionTransport([][]float64{{Forbidden}}, []int{1}, nil, nil); err == nil {
+	if _, err := SolveCongestionTransport([][]float64{{Forbidden}}, nil, []int{1}, nil, nil); err == nil {
 		t.Fatal("item with no permitted bin not detected")
 	}
 }
@@ -207,7 +207,7 @@ func BenchmarkCongestionTransport100x41(b *testing.B) {
 	marginal := func(i, k int) float64 { return coeff[i] * float64(2*k-1) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveCongestionTransport(base, slots, marginal, nil); err != nil {
+		if _, err := SolveCongestionTransport(base, nil, slots, marginal, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -251,7 +251,7 @@ func TestTransportExactOptimal(t *testing.T) {
 		if total < n {
 			slots[0] += n - total
 		}
-		sol, err := SolveCongestionTransport(cost, slots, nil, nil)
+		sol, err := SolveCongestionTransport(cost, nil, slots, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -295,14 +295,14 @@ func TestTransportExactOptimal(t *testing.T) {
 }
 
 func TestTransportInsufficientSlots(t *testing.T) {
-	if _, err := SolveCongestionTransport([][]float64{{1}, {1}}, []int{1}, nil, nil); err == nil {
+	if _, err := SolveCongestionTransport([][]float64{{1}, {1}}, nil, []int{1}, nil, nil); err == nil {
 		t.Fatal("insufficient slots not detected")
 	}
 }
 
 func TestTransportForbidden(t *testing.T) {
 	cost := [][]float64{{Forbidden, 2}, {1, Forbidden}}
-	sol, err := SolveCongestionTransport(cost, []int{1, 1}, nil, nil)
+	sol, err := SolveCongestionTransport(cost, nil, []int{1, 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestTransportForbidden(t *testing.T) {
 }
 
 func TestTransportEmpty(t *testing.T) {
-	sol, err := SolveCongestionTransport(nil, []int{3}, nil, nil)
+	sol, err := SolveCongestionTransport(nil, nil, []int{3}, nil, nil)
 	if err != nil || sol.Cost != 0 {
 		t.Fatalf("empty transport: %v %v", sol, err)
 	}
@@ -361,7 +361,7 @@ func BenchmarkTransport100x40(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveCongestionTransport(cost, slots, nil, nil); err != nil {
+		if _, err := SolveCongestionTransport(cost, nil, slots, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

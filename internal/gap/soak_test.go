@@ -15,6 +15,7 @@ import (
 // disallows it.
 type churnMarket struct {
 	base     [][]float64
+	ids      []uint64 // ids[j] names row j's version, fresh for every new row
 	slots    []int
 	coeff    []float64
 	noRemote bool
@@ -81,7 +82,7 @@ func (c *churnMarket) bruteForce() float64 {
 
 // TestTransportChurnSoak drives one TransportState through a long random
 // churn — appends, removals at random indices, duplicate rows, repriced
-// rows, Forbidden entries, remote and non-remote slot changes, congestion
+// rows (each row version under a fresh id), Forbidden entries, remote and non-remote slot changes, congestion
 // changes, and infeasible adds under no-remote — and after every step
 // requires the warm assignment to equal a fresh cold solve, the cost to
 // equal brute force on small instances, the network to stay sized to the
@@ -90,8 +91,14 @@ func TestTransportChurnSoak(t *testing.T) {
 	const steps = 2000
 	r := rng.New(2024)
 	c := &churnMarket{slots: []int{2, 1, 3, 0, 2, 0}, coeff: []float64{0.3, 0.1, 0.5, 0.2, 0, 0}}
+	// Ids outlive a reverted step: a refused row's id is never reused.
+	gen := new(rowIDs)
+	add := func(row []float64) {
+		c.base = append(c.base, row)
+		c.ids = append(c.ids, gen.next())
+	}
 	for j := 0; j < 8; j++ {
-		c.base = append(c.base, c.randomRow(r))
+		add(c.randomRow(r))
 	}
 	c.syncRemote()
 	st := &TransportState{}
@@ -102,14 +109,16 @@ func TestTransportChurnSoak(t *testing.T) {
 		saved := c.clone()
 		switch op := r.Intn(22); {
 		case op < 4 && n < 14: // append
-			c.base = append(c.base, c.randomRow(r))
+			add(c.randomRow(r))
 		case op < 6 && n > 0 && n < 14: // duplicate an existing row
-			c.base = append(c.base, append([]float64(nil), c.base[r.Intn(n)]...))
+			add(append([]float64(nil), c.base[r.Intn(n)]...))
 		case op < 12 && n > 0: // remove at a random index
 			j := r.Intn(n)
 			c.base = append(c.base[:j], c.base[j+1:]...)
+			c.ids = append(c.ids[:j], c.ids[j+1:]...)
 		case op < 15 && n > 0: // reprice a row in place
-			c.base[r.Intn(n)] = c.randomRow(r)
+			j := r.Intn(n)
+			c.base[j], c.ids[j] = c.randomRow(r), gen.next()
 		case op < 16 && n > 0: // forbid one bin to a row and its duplicates
 			// Forbidding the bin to a single copy would leave rows that
 			// agree on every bin but one: those tie exactly whenever
@@ -120,10 +129,10 @@ func TestTransportChurnSoak(t *testing.T) {
 			row[b] = Forbidden
 			for k, other := range c.base {
 				if k != j && reflect.DeepEqual(other, c.base[j]) {
-					c.base[k] = row
+					c.base[k], c.ids[k] = row, gen.next()
 				}
 			}
-			c.base[j] = row
+			c.base[j], c.ids[j] = row, gen.next()
 		case op < 17: // non-remote slot change
 			b := r.Intn(c.m() - 1)
 			c.slots[b] = r.IntRange(0, 3)
@@ -136,7 +145,7 @@ func TestTransportChurnSoak(t *testing.T) {
 			if r.Float64() < 0.5 { // more rows than slots
 				row := c.randomRow(r)
 				for len(c.base) <= c.totalCloudletSlots() {
-					c.base = append(c.base, row)
+					add(row)
 				}
 				break
 			}
@@ -149,7 +158,7 @@ func TestTransportChurnSoak(t *testing.T) {
 			}
 			row[b] = r.FloatRange(0.1, 5)
 			for k := 0; k <= c.slots[b]; k++ {
-				c.base = append(c.base, row)
+				add(row)
 			}
 		default: // no change: an idle epoch
 		}
@@ -158,8 +167,8 @@ func TestTransportChurnSoak(t *testing.T) {
 			peak = len(c.base)
 		}
 
-		cold, cerr := SolveCongestionTransport(c.base, c.slots, c.marginal, nil)
-		warm, werr := SolveCongestionTransport(c.base, c.slots, c.marginal, st)
+		cold, cerr := SolveCongestionTransport(c.base, nil, c.slots, c.marginal, nil)
+		warm, werr := SolveCongestionTransport(c.base, c.ids, c.slots, c.marginal, st)
 		if (cerr == nil) != (werr == nil) {
 			t.Fatalf("step %d: cold err %v, warm err %v", step, cerr, werr)
 		}
@@ -216,6 +225,7 @@ func TestTransportChurnSoak(t *testing.T) {
 func (c *churnMarket) clone() churnMarket {
 	return churnMarket{
 		base:     append([][]float64(nil), c.base...),
+		ids:      append([]uint64(nil), c.ids...),
 		slots:    append([]int(nil), c.slots...),
 		coeff:    append([]float64(nil), c.coeff...),
 		noRemote: c.noRemote,

@@ -1,6 +1,7 @@
 package gap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -11,33 +12,15 @@ import (
 // This file is the exact slotted solver SolveCongestionTransport and the
 // persistent state behind it. A TransportState keeps the optimal flow of
 // the last reduction it solved, with its Johnson potentials, and turns the
-// next reduction into a delta: rows are matched to the kept ones
-// (bit-identical rows in order, the rest by fingerprint, every match
-// confirmed against the kept row), departed or repriced rows cancel their
-// unit path and repair the one slot arc that may have turned profitable,
-// and new rows route one unit each by an early-exit Dijkstra. Every step
-// keeps the invariant that every residual arc has a non-negative reduced
-// cost, so the kept flow is optimal after each step (DESIGN.md §5l). A cold
-// solve is the same code adding every row to an empty state.
-
-// fp128 is a 128-bit incremental fingerprint (FNV-1a paired with a rotated
-// multiply-accumulate) over 64-bit words, folded to 64 bits per row. Row
-// matches are confirmed against the kept row anyway, so a collision costs
-// a needless repair, never a wrong answer.
-type fp128 struct{ a, b uint64 }
-
-func newFP() fp128 {
-	return fp128{a: 14695981039346656037, b: 0x9e3779b97f4a7c15}
-}
-
-func (h *fp128) word(w uint64) {
-	h.a = (h.a ^ w) * 1099511628211
-	h.b = ((h.b ^ w) << 29) | ((h.b ^ w) >> 35)
-	h.b = h.b*0xbf58476d1ce4e5b9 + 1
-}
-
-func (h *fp128) float(f float64) { h.word(math.Float64bits(f)) }
-func (h *fp128) sum() uint64     { return h.a ^ (h.b * 1099511628211) }
+// next reduction into a delta: rows are paired with the kept ones by the
+// caller's row ids (an id names one immutable row), departed or repriced
+// rows cancel their unit path and repair the one slot arc that may have
+// turned profitable, and new rows route one unit each by an early-exit
+// Dijkstra. Every step keeps the invariant that every residual arc has a
+// non-negative reduced cost, so the kept flow is optimal after each step
+// (DESIGN.md §5l). A solve with no delta returns the kept result without
+// touching the network. A cold solve is the same code adding every row to
+// an empty state.
 
 // unbounded is the capacity of the last chain arc of a bin whose slot count
 // covers every item (Appro's remote bin): such a bin can never fill, so a
@@ -87,21 +70,23 @@ type TransportState struct {
 	runCap  []int
 	runArc  []int
 
-	rows     []int     // rows[j] = node of item j of the last solve
-	slotFP   []uint64  // fingerprint of the item's row over open bins
-	slotArc  []int     // the item's arc carrying its unit, as last seen
-	slotRow  []float64 // the row the item was built from, stride m
-	slotKept []bool    // scratch: the kept item matched a new row
+	rows    []int    // rows[j] = node of item j of the last solve
+	slotID  []uint64 // the id of the row the item was built from
+	slotArc []int    // the item's arc carrying its unit, as last seen
+
+	// The canonical result of the last solve, returned again by a hit.
+	lastBin  []int
+	lastCost float64
 
 	// Scratch, reused across solves.
 	newAt   []int
 	newCost []float64
 	newCap  []int
-	fp      []uint64 // fp[j] = fingerprint of new row j
-	match   []int    // match[j] = kept node serving new row j, or -1
-	oldLeft []int    // kept nodes the positional pass left unmatched
-	newLeft []int    // new rows the positional pass left unmatched
-	order   []int    // rows by (fingerprint, open entries, index)
+	match   []int  // match[j] = kept node serving new row j, or -1
+	kept    []bool // kept[k] = item slot k serves a new row
+	oldLeft []int  // kept nodes the positional pass left unmatched
+	newLeft []int  // new rows the positional pass left unmatched
+	order   []int  // rows by (open entries, index)
 	count   []int
 
 	// Counters, readable by callers for span attrs and tests. Hits counts
@@ -135,11 +120,17 @@ type TransportState struct {
 //
 // st carries the kept optimum across solves: the result is that optimum,
 // repaired for whatever changed since the last solve, and is
-// byte-identical to a cold solve's; st.Last says how it was served. A nil
-// st is the cold solve, every row added to an empty state.
-func SolveCongestionTransport(base [][]float64, slots []int, marginal func(bin, k int) float64, st *TransportState) (*Assignment, error) {
+// byte-identical to a cold solve's; st.Last says how it was served. With a
+// state, ids[j] names row j: rows are paired with the kept ones by id, so
+// a row must never change under an id it was solved with (mec.Market's row
+// stamps are such ids), and a repriced row needs a new id. A nil st is the
+// cold solve, every row added to an empty state; it ignores ids.
+func SolveCongestionTransport(base [][]float64, ids []uint64, slots []int, marginal func(bin, k int) float64, st *TransportState) (*Assignment, error) {
 	n := len(base)
 	m := len(slots)
+	if st != nil && len(ids) != n {
+		return nil, fmt.Errorf("gap: %d row ids for %d items", len(ids), n)
+	}
 	if n == 0 {
 		return &Assignment{}, nil
 	}
@@ -162,12 +153,12 @@ func SolveCongestionTransport(base [][]float64, slots []int, marginal func(bin, 
 		return nil, fmt.Errorf("gap: %d items exceed %d total slots", n, totalSlots)
 	}
 	if st == nil {
-		st = &TransportState{}
+		st, ids = &TransportState{}, nil
 	}
 	if err := st.chains(slots, marginal, n); err != nil {
 		return nil, err
 	}
-	a, err := st.solve(base)
+	a, err := st.solve(base, ids)
 	if err != nil {
 		st.valid = false
 		return nil, err
@@ -218,21 +209,6 @@ func (st *TransportState) chains(slots []int, marginal func(bin, k int) float64,
 // no arc to a closed bin, and rows are compared on open bins only.
 func (st *TransportState) open(b int) bool { return st.newAt[b] < st.newAt[b+1] }
 
-// rowFingerprint validates row j and hashes its entries on open bins.
-func (st *TransportState) rowFingerprint(j int, row []float64) (uint64, error) {
-	h := newFP()
-	for b, c := range row {
-		if math.IsNaN(c) || math.IsInf(c, -1) {
-			return 0, fmt.Errorf("gap: invalid base cost at item %d bin %d: %v", j, b, c)
-		}
-		if !st.open(b) {
-			c = Forbidden
-		}
-		h.float(c)
-	}
-	return h.sum(), nil
-}
-
 // sameChains reports whether the new chains equal the kept ones.
 func (st *TransportState) sameChains() bool {
 	if !slices.Equal(st.newAt, st.runAt) || !slices.Equal(st.newCap, st.runCap) {
@@ -270,27 +246,11 @@ func (st *TransportState) rebuild() {
 	// Every chain arc starts with a non-negative reduced cost.
 	st.net.SetPotential(m, sinkPot)
 	st.rows = st.rows[:0]
-	st.slotFP, st.slotArc, st.slotRow = st.slotFP[:0], st.slotArc[:0], st.slotRow[:0]
+	st.slotID, st.slotArc = st.slotID[:0], st.slotArc[:0]
 }
 
 // slot returns the per-item index of an item node.
 func (st *TransportState) slot(node int) int { return node - st.m - 1 }
-
-// keptRow returns the row an item node was built from.
-func (st *TransportState) keptRow(node int) []float64 {
-	k := st.slot(node) * st.m
-	return st.slotRow[k : k+st.m : k+st.m]
-}
-
-// sameBits reports whether two rows are bit-for-bit identical.
-func sameBits(x, y []float64) bool {
-	for b := range x {
-		if math.Float64bits(x[b]) != math.Float64bits(y[b]) {
-			return false
-		}
-	}
-	return true
-}
 
 // flowArc returns the arc an item node routes its unit over.
 func (st *TransportState) flowArc(node int) int {
@@ -307,31 +267,32 @@ func (st *TransportState) flowArc(node int) int {
 	panic("gap: kept item routes no unit")
 }
 
-// diff matches the new rows to the kept ones, filling st.match and st.fp.
-// A positional pass pairs bit-identical rows in order, looking one row
-// ahead on either side, so appends and single removals cost one row
-// comparison each; rows it leaves over are paired by fingerprint, each
-// pair confirmed against the kept row on every open bin.
-func (st *TransportState) diff(base [][]float64) error {
-	n, kept := len(base), st.rows
-	st.match, st.fp = st.match[:0], st.fp[:0]
+// diff pairs the n new rows with the kept items by id, filling st.match,
+// and reports whether every row kept its item in its place. A positional
+// pass pairs equal ids in order, looking one row ahead on either side, so
+// appends and single removals cost one comparison each; the rows it leaves
+// over are sorted by id and merged, so a row repriced in place (a new id at
+// an old index) pairs nothing and the rest still pair. ids is nil only on
+// a fresh state, which keeps no item to pair.
+func (st *TransportState) diff(n int, ids []uint64) bool {
+	kept := st.rows
+	st.match = st.match[:0]
 	for j := 0; j < n; j++ {
 		st.match = append(st.match, -1)
-		st.fp = append(st.fp, 0)
 	}
+	id := func(node int) uint64 { return st.slotID[st.slot(node)] }
 	oldLeft, newLeft := st.oldLeft[:0], st.newLeft[:0]
 	i, j := 0, 0
 	for i < len(kept) && j < n {
 		switch {
-		case sameBits(st.keptRow(kept[i]), base[j]):
+		case id(kept[i]) == ids[j]:
 			st.match[j] = kept[i]
-			st.fp[j] = st.slotFP[st.slot(kept[i])]
 			i++
 			j++
-		case i+1 < len(kept) && sameBits(st.keptRow(kept[i+1]), base[j]):
+		case i+1 < len(kept) && id(kept[i+1]) == ids[j]:
 			oldLeft = append(oldLeft, kept[i])
 			i++
-		case j+1 < n && sameBits(st.keptRow(kept[i]), base[j+1]):
+		case j+1 < n && id(kept[i]) == ids[j+1]:
 			newLeft = append(newLeft, j)
 			j++
 		default:
@@ -346,53 +307,32 @@ func (st *TransportState) diff(base [][]float64) error {
 		newLeft = append(newLeft, j)
 	}
 	st.oldLeft, st.newLeft = oldLeft, newLeft
-	for _, j := range newLeft {
-		h, err := st.rowFingerprint(j, base[j])
-		if err != nil {
-			return err
-		}
-		st.fp[j] = h
-	}
 	if len(oldLeft) == 0 || len(newLeft) == 0 {
-		return nil
+		return len(oldLeft)+len(newLeft) == 0
 	}
-	slices.SortFunc(newLeft, func(a, b int) int { return cmpFP(st.fp[a], st.fp[b], a, b) })
-	slices.SortFunc(oldLeft, func(a, b int) int {
-		return cmpFP(st.slotFP[st.slot(a)], st.slotFP[st.slot(b)], a, b)
-	})
+	slices.SortFunc(newLeft, func(a, b int) int { return cmp.Or(cmp.Compare(ids[a], ids[b]), a-b) })
+	slices.SortFunc(oldLeft, func(a, b int) int { return cmp.Or(cmp.Compare(id(a), id(b)), a-b) })
 	for x, y := 0, 0; x < len(newLeft) && y < len(oldLeft); {
 		j, node := newLeft[x], oldLeft[y]
-		switch h := st.slotFP[st.slot(node)]; {
-		case st.fp[j] < h:
+		switch c := cmp.Compare(ids[j], id(node)); {
+		case c < 0:
 			x++
-		case st.fp[j] > h:
+		case c > 0:
 			y++
 		default:
-			if st.compareOpen(st.keptRow(node), base[j]) == 0 {
-				st.match[j] = node
-				copy(st.keptRow(node), base[j])
-			}
+			st.match[j] = node
 			x++
 			y++
 		}
 	}
-	return nil
+	return false
 }
 
-// cmpFP orders by fingerprint, then by index.
-func cmpFP(fa, fb uint64, a, b int) int {
-	switch {
-	case fa < fb:
-		return -1
-	case fa > fb:
-		return 1
-	}
-	return a - b
-}
-
-// solve diffs base against the kept optimum (or rebuilds), applies the
-// delta, and extracts the canonical assignment.
-func (st *TransportState) solve(base [][]float64) (*Assignment, error) {
+// solve diffs the rows against the kept optimum (or rebuilds), applies the
+// delta, and extracts the canonical assignment. A solve whose rows all
+// kept their items in place changes nothing, so it returns the kept
+// result.
+func (st *TransportState) solve(base [][]float64, ids []uint64) (*Assignment, error) {
 	n := len(base)
 	m := len(st.newAt) - 1
 	rebuilt := !st.valid || st.m != m || !st.sameChains()
@@ -400,23 +340,22 @@ func (st *TransportState) solve(base [][]float64) (*Assignment, error) {
 		st.rebuild()
 	}
 	st.valid = true
-	if err := st.diff(base); err != nil {
-		return nil, err
+	if st.diff(n, ids) {
+		st.Last, st.LastAdded, st.LastRemoved = SolveHit, 0, 0
+		st.Hits++
+		return &Assignment{Bin: slices.Clone(st.lastBin), Cost: st.lastCost}, nil
 	}
 	g, sink := st.net, m
 
 	// Departed and repriced rows: cancel the unit path, drop the node, and
 	// repair the slot arc the cancelled unit freed.
-	kept := st.slotKept[:0]
-	for range st.slotFP {
-		kept = append(kept, false)
-	}
+	kept := append(st.kept[:0], make([]bool, len(st.slotID))...)
 	for _, node := range st.match {
 		if node >= 0 {
 			kept[st.slot(node)] = true
 		}
 	}
-	st.slotKept = kept
+	st.kept = kept
 	removed := 0
 	for _, node := range st.rows {
 		if kept[st.slot(node)] {
@@ -446,16 +385,20 @@ func (st *TransportState) solve(base [][]float64) (*Assignment, error) {
 		}
 		node := g.AddNode()
 		k := st.slot(node)
-		if k == len(st.slotFP) {
-			st.slotFP = append(st.slotFP, 0)
+		if k == len(st.slotID) {
+			st.slotID = append(st.slotID, 0)
 			st.slotArc = append(st.slotArc, 0)
-			st.slotRow = append(st.slotRow, base[j]...)
 		}
-		st.slotFP[k], st.slotArc[k] = st.fp[j], -1
-		copy(st.keptRow(node), base[j])
+		st.slotID[k], st.slotArc[k] = 0, -1
+		if ids != nil {
+			st.slotID[k] = ids[j]
+		}
 		rows = append(rows, node)
 		price := math.Inf(-1)
 		for b, c := range base[j] {
+			if math.IsNaN(c) || math.IsInf(c, -1) {
+				return nil, fmt.Errorf("gap: invalid base cost at item %d bin %d: %v", j, b, c)
+			}
 			if math.IsInf(c, 1) || !st.open(b) {
 				continue
 			}
@@ -497,7 +440,9 @@ func (st *TransportState) solve(base [][]float64) (*Assignment, error) {
 		bin[j] = g.Head(st.flowArc(node))
 	}
 	st.canonicalize(base, bin)
-	return &Assignment{Bin: bin, Cost: st.costOf(base, bin)}, nil
+	st.lastBin = append(st.lastBin[:0], bin...)
+	st.lastCost = st.costOf(base, bin)
+	return &Assignment{Bin: bin, Cost: st.lastCost}, nil
 }
 
 // canonicalize makes the assignment unique up to the optimum itself: rows
@@ -512,17 +457,12 @@ func (st *TransportState) canonicalize(base [][]float64, bin []int) {
 	}
 	st.order = order
 	slices.SortFunc(order, func(a, b int) int {
-		if st.fp[a] == st.fp[b] {
-			if c := st.compareOpen(base[a], base[b]); c != 0 {
-				return c
-			}
-		}
-		return cmpFP(st.fp[a], st.fp[b], a, b)
+		return cmp.Or(st.compareOpen(base[a], base[b]), a-b)
 	})
 	// Each group of identical rows is now contiguous, ascending by index.
 	for a := 0; a < len(order); {
 		e := a + 1
-		for e < len(order) && st.fp[order[e]] == st.fp[order[a]] && st.compareOpen(base[order[a]], base[order[e]]) == 0 {
+		for e < len(order) && st.compareOpen(base[order[a]], base[order[e]]) == 0 {
 			e++
 		}
 		if e-a > 1 {

@@ -3,6 +3,7 @@ package mec
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Provider is a network service provider sp_l with the single service SV_l
@@ -52,10 +53,12 @@ type Market struct {
 	// proportional (linear) model.
 	congestion CongestionModel
 
-	// base[l][i] caches the congestion-free cost of provider l at cloudlet
-	// i; remote[l] caches the cost of not caching.
-	base   [][]float64
-	remote []float64
+	// rows[l] caches provider l's costs: rows[l][i] is the congestion-free
+	// cost at cloudlet i and rows[l][nc] the cost of not caching.
+	// stamps[l] is the row's stamp (see CostRows). A row is immutable once
+	// stamped: a provider is repriced only by a new row with a new stamp.
+	rows   [][]float64
+	stamps []uint64
 
 	// scanOrder[l] lists cloudlet indices in ascending (base[l][i], i)
 	// order. Base costs are congestion-independent, so the order survives
@@ -173,23 +176,42 @@ func validateProvider(net *Network, l int, p Provider) error {
 	return nil
 }
 
+// rowStamp is the last stamp handed to a cost row. It is process-wide, not
+// per market: a solver state that outlives its market (a daemon whose last
+// provider left drops its market and builds a fresh one on the next
+// admission) must never see a fresh market's row under an old row's stamp.
+var rowStamp atomic.Uint64
+
 // precompute fills the congestion-free cost tables and the scan-acceleration
 // tables the incremental equilibrium engine reads.
 func (m *Market) precompute() {
 	n := len(m.Providers)
-	nc := m.Net.NumCloudlets()
-	m.base = make([][]float64, n)
-	m.remote = make([]float64, n)
+	m.rows = make([][]float64, n)
+	m.stamps = make([]uint64, n)
 	m.scanOrder = make([][]int32, n)
 	for l := range m.Providers {
-		p := &m.Providers[l]
-		m.base[l] = make([]float64, nc)
-		m.fillBase(m.base[l], p)
-		m.remote[l] = m.remoteCost(p)
-		m.scanOrder[l] = m.sortedByBase(m.base[l])
+		m.rows[l], m.stamps[l], m.scanOrder[l] = m.costRow(&m.Providers[l])
 	}
 	m.precomputeCongestion()
 }
+
+// costRow builds and stamps provider p's cost row, with its candidate
+// order.
+func (m *Market) costRow(p *Provider) ([]float64, uint64, []int32) {
+	nc := m.Net.NumCloudlets()
+	row := make([]float64, nc+1)
+	m.fillBase(row[:nc], p)
+	row[nc] = m.remoteCost(p)
+	return row, rowStamp.Add(1), m.sortedByBase(row[:nc])
+}
+
+// CostRows returns every provider's cost row and its stamp. Row l holds
+// BaseCost(l, i) at index i for every cloudlet and RemoteCost(l) last.
+// Stamps are unique across every market of the process and ascend with
+// the index within one market; a row never changes once stamped, so equal
+// stamps mean equal rows. Both slices are owned by the market; callers
+// must not mutate them.
+func (m *Market) CostRows() ([][]float64, []uint64) { return m.rows, m.stamps }
 
 // radixCutoff is the row length from which sortedByBase radix-sorts. In
 // BenchmarkAppendRemove-style runs the insertion sort is twice as fast at
@@ -376,7 +398,7 @@ func (m *Market) remoteCost(p *Provider) float64 {
 
 // BaseCost returns the cached congestion-free cost of provider l at
 // cloudlet i (the Eq. 9 cost used inside the GAP reduction).
-func (m *Market) BaseCost(l, i int) float64 { return m.base[l][i] }
+func (m *Market) BaseCost(l, i int) float64 { return m.rows[l][i] }
 
 // UpdateCost returns only the consistency-update component of provider l's
 // cost at cloudlet i: shipping UpdateRatio·DataGB back to the home data
@@ -408,7 +430,7 @@ func (m *Market) TransmissionCost(l, i int) float64 {
 }
 
 // RemoteCost returns the cost of provider l staying in its home DC.
-func (m *Market) RemoteCost(l int) float64 { return m.remote[l] }
+func (m *Market) RemoteCost(l int) float64 { return m.rows[l][m.Net.NumCloudlets()] }
 
 // CongestionCoeff returns α_i + β_i for cloudlet i.
 func (m *Market) CongestionCoeff(i int) float64 {
@@ -453,7 +475,7 @@ func (m *Market) Loads(pl Placement) []int {
 func (m *Market) ProviderCost(pl Placement, l int) float64 {
 	s := pl[l]
 	if s == Remote {
-		return m.remote[l]
+		return m.RemoteCost(l)
 	}
 	load := 0
 	for _, t := range pl {
@@ -473,7 +495,7 @@ func (m *Market) ProviderCosts(pl Placement) []float64 {
 	costs := make([]float64, len(pl))
 	for l, s := range pl {
 		if s == Remote {
-			costs[l] = m.remote[l]
+			costs[l] = m.RemoteCost(l)
 		} else {
 			costs[l] = m.CostAt(l, s, loads[s])
 		}
@@ -484,7 +506,7 @@ func (m *Market) ProviderCosts(pl Placement) []float64 {
 // CostAt returns provider l's cost of caching at cloudlet i when the
 // cloudlet hosts load services in total (load includes l itself).
 func (m *Market) CostAt(l, i, load int) float64 {
-	return m.CongestionCoeff(i)*m.CongestionLevel(load) + m.base[l][i]
+	return m.CongestionCoeff(i)*m.CongestionLevel(load) + m.rows[l][i]
 }
 
 // CostBreakdown splits a strategy's cost (Eq. 3, or the remote cost) into
@@ -555,7 +577,7 @@ func (m *Market) SocialCost(pl Placement) float64 {
 	total := 0.0
 	for l, s := range pl {
 		if s == Remote {
-			total += m.remote[l]
+			total += m.RemoteCost(l)
 		} else {
 			total += m.CostAt(l, s, loads[s])
 		}
@@ -570,7 +592,7 @@ func (m *Market) GroupCost(pl Placement, members []int) float64 {
 	for _, l := range members {
 		s := pl[l]
 		if s == Remote {
-			total += m.remote[l]
+			total += m.RemoteCost(l)
 		} else {
 			total += m.CostAt(l, s, loads[s])
 		}

@@ -217,7 +217,7 @@ func TestProviderRejectsNonFinite(t *testing.T) {
 			if _, err := m.AppendProvider(p); err == nil {
 				t.Errorf("%s: AppendProvider accepted it", name)
 			}
-			if len(m.Providers) != 2 || len(m.base) != 2 {
+			if len(m.Providers) != 2 || len(m.rows) != 2 {
 				t.Fatalf("%s: a rejected append changed the market", name)
 			}
 			if math.IsNaN(v) {

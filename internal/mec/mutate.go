@@ -11,8 +11,8 @@ import "fmt"
 // NewMarket over the same provider slice (see mutate_test.go).
 
 // AppendProvider admits one more provider into the market, validating it
-// and computing only its own congestion-free cost row (read from the
-// Network's site-hop table) and candidate order. It returns the new
+// and computing only its own cost row (read from the Network's site-hop
+// table), with a fresh stamp, and candidate order. It returns the new
 // provider's index (always len(Providers)-1 after the call).
 func (m *Market) AppendProvider(p Provider) (int, error) {
 	l := len(m.Providers)
@@ -27,18 +27,17 @@ func (m *Market) AppendProvider(p Provider) (int, error) {
 		}
 	}
 	m.Providers = append(m.Providers, p)
-	row := make([]float64, m.Net.NumCloudlets())
-	m.fillBase(row, &m.Providers[l])
-	m.base = append(m.base, row)
-	m.remote = append(m.remote, m.remoteCost(&m.Providers[l]))
-	m.scanOrder = append(m.scanOrder, m.sortedByBase(row))
+	row, stamp, order := m.costRow(&m.Providers[l])
+	m.rows = append(m.rows, row)
+	m.stamps = append(m.stamps, stamp)
+	m.scanOrder = append(m.scanOrder, order)
 	m.growLevelSum()
 	return l, nil
 }
 
 // RemoveProvider retires provider l from the market. Providers after l
-// shift down by one index; callers holding placements or id maps must shift
-// them the same way.
+// shift down by one index, their cost rows keeping their stamps; callers
+// holding placements or id maps must shift them the same way.
 func (m *Market) RemoveProvider(l int) error {
 	n := len(m.Providers)
 	if l < 0 || l >= n {
@@ -48,8 +47,8 @@ func (m *Market) RemoveProvider(l int) error {
 		return fmt.Errorf("mec: cannot remove the last provider (a market needs at least one)")
 	}
 	m.Providers = append(m.Providers[:l], m.Providers[l+1:]...)
-	m.base = append(m.base[:l], m.base[l+1:]...)
-	m.remote = append(m.remote[:l], m.remote[l+1:]...)
+	m.rows = append(m.rows[:l], m.rows[l+1:]...)
+	m.stamps = append(m.stamps[:l], m.stamps[l+1:]...)
 	m.scanOrder = append(m.scanOrder[:l], m.scanOrder[l+1:]...)
 	// levelSum deliberately keeps its extra tail entry: it is a pure function
 	// of the congestion model, so a longer prefix cache stays valid.

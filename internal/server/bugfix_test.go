@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"mecache/internal/dynamic"
+	"mecache/internal/mec"
 	"mecache/internal/wal"
 )
 
@@ -174,5 +176,77 @@ func TestStorageValidationFailsFast(t *testing.T) {
 				t.Errorf("error message %q should say the path is unusable", err)
 			}
 		})
+	}
+}
+
+// TestEpochAfterMarketEmptied pins the warm epoch across an emptied
+// market. The last departure drops the market and the next admission
+// builds a fresh one, while the epoch solve state keeps the dropped
+// market's optimum. The fresh market's rows must not pair with the kept
+// ones: had row stamps restarted with each market, B's row would carry A's
+// stamp and the epoch would hand B the bin it solved for A.
+func TestEpochAfterMarketEmptied(t *testing.T) {
+	cfg := testConfig(61)
+	cfg.Xi = 1 // every provider is pinned to Appro's placement
+	cfg.MigrationAware = false
+	s, ts := startServer(t, cfg)
+	// coldEpoch is the placement a cold epoch gives p alone in a market.
+	coldEpoch := func(p mec.Provider, epoch uint64) int {
+		t.Helper()
+		m, err := mec.NewMarket(s.net, []mec.Provider{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, _, err := dynamic.Reequilibrate(m, mec.Placement{mec.Remote}, dynamic.EpochOptions{
+			Xi: cfg.Xi, Seed: cfg.Seed + epoch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next[0]
+	}
+	epoch := func() int {
+		t.Helper()
+		if resp, data := postJSON(t, ts.URL+"/v1/admin/epoch", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("epoch: %d %s", resp.StatusCode, data)
+		}
+		return s.View().Providers[0].Placement
+	}
+	// B differs from A only where it attaches, so the two markets split
+	// their cloudlets into the same slots and the epoch state repairs
+	// rather than rebuilds. Most draws stay remote wherever they attach;
+	// take the first pair whose cold epochs place them apart.
+	var a, b mec.Provider
+	found := false
+	for i := 0; i < 20 && !found; i++ {
+		a = drawProvider(cfg, s.View(), 61, i)
+		b = a
+		for b.AttachNode = 0; b.AttachNode < s.View().NumNodes; b.AttachNode++ {
+			if coldEpoch(b, 2) != coldEpoch(a, 1) {
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no pair of attachment nodes gives A and B different placements")
+	}
+
+	id := admit(t, ts, a).ID
+	if got, want := epoch(), coldEpoch(a, 1); got != want {
+		t.Fatalf("A's epoch placed it at %d, a cold epoch at %d", got, want)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/providers/%d", ts.URL, id), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent || s.View().Active != 0 {
+		t.Fatalf("depart: status %d, %d still active", resp.StatusCode, s.View().Active)
+	}
+	admit(t, ts, b)
+	if got, want := epoch(), coldEpoch(b, 2); got != want {
+		t.Fatalf("B's epoch after the market emptied placed it at %d, a cold epoch at %d", got, want)
 	}
 }
